@@ -51,6 +51,7 @@ from .purchase import (
     expected_charge_rate,
     purchase_bounds,
     purchase_power,
+    purchase_power_many,
     slope_bounds,
 )
 from .simulate import (
@@ -75,7 +76,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _emit_json(report: dict, out: str | None) -> None:
     report = {"schema_version": SCHEMA_VERSION, **report}
-    _emit(json.dumps(report, indent=2) + "\n", out)
+    _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", out)
 
 
 def _emit_csv(fieldnames: list[str], rows: list[dict], out: str | None) -> None:
@@ -155,7 +156,7 @@ def _cmd_bounds(args) -> int:
     else:
         xr_hi = max_feasible_bid(cfg.battery, cfg.contract, ctx)
     grid = np.linspace(0.0, xr_hi, args.grid)
-    purchase = [purchase_power(x, ctx) for x in grid]
+    purchase = purchase_power_many(grid, ctx)
     lower, upper = purchase_bounds(grid, ctx)
     band_lo, band_hi = envelopes(grid, cfg.battery, cfg.contract)
     rows = [

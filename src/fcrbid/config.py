@@ -8,6 +8,7 @@ points at the exact key.  Schema is versioned; see docs/config.md.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +58,8 @@ def _num(sec: dict, key: str, path: str, default=_MISSING) -> float:
     value = sec[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}.{key}: expected a finite number")
     return float(value)
 
 

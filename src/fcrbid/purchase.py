@@ -6,9 +6,7 @@ This module evaluates that coupling:
 
 * :func:`expected_charge_rate` -- mean drift of the state of charge for a
   given purchase and bid;
-* :func:`purchase_power` -- the purchase required to hold the drift target,
-  found by inverting the rate in its (strictly increasing) purchase
-  argument;
+* :func:`purchase_power` -- the purchase required to hold the drift target;
 * :func:`purchase_slopes` -- one-sided derivatives of the purchase with
   respect to the bid;
 * :func:`asymptotic_slope` / :func:`slope_bounds` -- the marginal purchase
@@ -17,19 +15,23 @@ This module evaluates that coupling:
   curve, valid for every distribution with the same mean absolute
   deviation.
 
+The rate is 1-homogeneous in (purchase, bid): rate(xb, xr) = xr * g(xb / xr)
+with g(u) = eta_plus * u - drain * scdf(-u), strictly increasing in u.  The
+slope, the purchase curve and the one-sided purchase slopes all come from
+one Newton inverse of g.
+
 Powers are in kW, energies in kWh; deviations are normalised to [-1, 1].
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import DeviationDistribution
 from .errors import AssumptionError
-from .rootfind import BISECT_MAX_ITER, bisect_root
+from .rootfind import BISECT_MAX_ITER
 
 __all__ = [
     "EfficiencyPair",
@@ -111,11 +113,34 @@ def expected_charge_rate(xb, xr, eff: EfficiencyPair, dist: DeviationDistributio
     return np.where(active, with_reg, no_reg)
 
 
+def _inverse_unit_rate(v, eff: EfficiencyPair, dist: DeviationDistribution):
+    """Purchase per unit of bid, u, solving g(u) = v; ``v`` a float or an array.
+
+    g(u) = eta_plus * u - drain * scdf(-u) is increasing and concave, with
+    g'(u) = eta_plus + drain * F(-u); either one-sided CDF limit is a
+    supergradient, so a Newton tangent never overshoots the root.  The start
+    inverts min(eta_plus * u, u / eta_minus), which lies above g, so it sits
+    below the root; Newton then climbs and stops once the iterate no longer
+    rises.  The result depends on v alone, which keeps purchases exactly
+    covariant under power-of-two rescaling of the bid and the target.
+    """
+    eta_p, drain = eff.eta_plus, eff.drain
+    u = np.maximum(v / eta_p, eff.eta_minus * v)
+    for _ in range(BISECT_MAX_ITER):
+        rate = eta_p * u - drain * dist.scdf(-u)
+        new = u - (rate - v) / (eta_p + drain * dist.cdf(-u))
+        if not (new > u).any():
+            break
+        u = np.maximum(u, new)
+    return u
+
+
 def asymptotic_slope(eff: EfficiencyPair, dist: DeviationDistribution) -> float:
     """Marginal purchase per unit of bid in the large-bid limit.
 
-    The unique fixed point in [0, 1) of  s = (1 - roundtrip) * scdf(s),
-    found by bisection.  Residual is below 1e-12 by construction.
+    The unique fixed point in [0, 1) of  s = (1 - roundtrip) * scdf(s); by
+    the scdf symmetry identity this is the root of g(s) = 0, the purchase
+    per unit of bid that holds a balanced target.
     """
     a = eff.roundtrip
     if a >= 1.0:
@@ -125,16 +150,7 @@ def asymptotic_slope(eff: EfficiencyPair, dist: DeviationDistribution) -> float:
         raise AssumptionError(
             "deviation law too heavy for the efficiency: no slope below one"
         )
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mid - loss * dist.scdf(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(_inverse_unit_rate(0.0, eff, dist))
 
 
 def slope_bounds(eff: EfficiencyPair, mad: float) -> tuple[float, float]:
@@ -177,33 +193,17 @@ def purchase_power(xr: float, ctx: PurchaseContext) -> float:
     """Baseline purchase holding the drift target at bid ``xr``.
 
     Nondecreasing and convex in ``xr``.  For a balanced target the curve is
-    exactly ``slope * xr``; otherwise the rate equation is inverted by
-    bisection on the bracket [base, base + slope * xr], whose residual signs
-    are guaranteed by monotonicity and convexity (the bracket is widened
-    once by 1e-9 * (1 + |base|) if rounding breaks the sign check).
+    exactly ``slope * xr``; otherwise it is xr * u with u the Newton inverse
+    of the per-unit-bid rate g at drift_target / xr.
     """
     xr = float(xr)
     if xr < 0.0:
         raise ValueError("bid must be nonnegative")
-    base = ctx.base_purchase
     if xr == 0.0:
-        return base
-    if ctx.drift_target == 0.0:
+        return ctx.base_purchase
+    if ctx.drift_target == 0.0 or xr > XR_ASYMPTOTE:
         return ctx.slope * xr
-    if xr > XR_ASYMPTOTE:
-        return ctx.slope * xr
-    eff, dist, target = ctx.eff, ctx.dist, ctx.drift_target
-
-    def residual(xb: float) -> float:
-        return expected_charge_rate(xb, xr, eff, dist) - target
-
-    lo, hi = base, base + ctx.slope * xr
-    f_lo, f_hi = residual(lo), residual(hi)
-    if f_lo > 0.0 or f_hi < 0.0:
-        pad = 1e-9 * (1.0 + abs(base))
-        lo, hi = lo - pad, hi + pad
-        f_lo, f_hi = residual(lo), residual(hi)
-    return bisect_root(residual, lo, hi, f_lo, f_hi)
+    return xr * float(_inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist))
 
 
 def purchase_power_many(xr, ctx: PurchaseContext) -> np.ndarray:
@@ -211,34 +211,14 @@ def purchase_power_many(xr, ctx: PurchaseContext) -> np.ndarray:
     xr = np.asarray(xr, dtype=float)
     if np.any(xr < 0.0):
         raise ValueError("bids must be nonnegative")
-    base = ctx.base_purchase
     if ctx.drift_target == 0.0:
         return ctx.slope * xr
-    out = np.full(xr.shape, base)
+    out = np.full(xr.shape, ctx.base_purchase)
     big = xr > XR_ASYMPTOTE
     out[big] = ctx.slope * xr[big]
     todo = (xr > 0.0) & ~big
-    if not np.any(todo):
-        return out
     x = xr[todo]
-    lo = np.full(x.shape, base)
-    hi = base + ctx.slope * x
-    target = ctx.drift_target
-    r_lo = expected_charge_rate(lo, x, ctx.eff, ctx.dist) - target
-    r_hi = expected_charge_rate(hi, x, ctx.eff, ctx.dist) - target
-    pad = 1e-9 * (1.0 + abs(base))
-    lo = np.where(r_lo > 0.0, lo - pad, lo)
-    hi = np.where(r_hi < 0.0, hi + pad, hi)
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        done = (mid == lo) | (mid == hi)
-        if np.all(done):
-            break
-        r = expected_charge_rate(mid, x, ctx.eff, ctx.dist) - target
-        go_left = r >= 0.0
-        hi = np.where(go_left, mid, hi)
-        lo = np.where(go_left, lo, mid)
-    out[todo] = 0.5 * (lo + hi)
+    out[todo] = x * _inverse_unit_rate(ctx.drift_target / x, ctx.eff, ctx.dist)
     return out
 
 
@@ -257,8 +237,7 @@ def purchase_slopes(xr: float, ctx: PurchaseContext) -> tuple[float, float]:
     if xr == 0.0:
         s = ctx.slope if ctx.drift_target == 0.0 else 0.0
         return s, s
-    xb = purchase_power(xr, ctx)
-    z = -xb / xr
+    z = -float(_inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist))
     f_left, f_right = ctx.dist.cdf_pair(z)
     phi = ctx.dist.scdf(z)
     eta_p, drain = ctx.eff.eta_plus, ctx.eff.drain

@@ -1,15 +1,13 @@
-"""Scalar bisection helpers with the tolerances used across the package.
+"""Scalar bisection helpers.
 
-The documented tolerances are an interval width of 1e-13 and a residual of
-1e-12 with at most 200 iterations.  The loops below actually run until the
-bracket collapses to adjacent floats, which is at least as tight and keeps
-every result exactly covariant under power-of-two rescaling of the inputs
-(the midpoint of a scaled bracket is the scaled midpoint, bit for bit).
+:func:`bisect_root` locates the band exits in ``max_feasible_bid`` and
+:func:`bisect_threshold` the solver's stationary candidate.  Both run until
+the bracket collapses to adjacent floats (at most 200 halvings), which keeps
+every result exactly covariant under power-of-two rescaling of the inputs:
+the midpoint of a scaled bracket is the scaled midpoint, bit for bit.
 """
 
 BISECT_MAX_ITER = 200
-BISECT_WIDTH_TOL = 1e-13
-BISECT_RESIDUAL_TOL = 1e-12
 
 
 def bisect_root(fn, lo, hi, f_lo=None, f_hi=None):

@@ -149,7 +149,7 @@ def test_criterion_02():
 
 
 def test_criterion_03():
-    """bisected slope equals the extremal-law closed forms to 1e-10"""
+    """computed slope equals the extremal-law closed forms to 1e-10"""
     rng = np.random.default_rng(31)
     for _ in range(100):
         eff = EfficiencyPair(rng.uniform(0.1, 0.99), 1.0)

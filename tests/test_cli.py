@@ -462,6 +462,17 @@ def test_invalid_config_exits_2(config, capsys):
     assert "battery" in err
 
 
+@pytest.mark.parametrize("section,key", [("contract", "horizon_h"),
+                                         ("prices", "cb_cts_per_kwh")])
+def test_non_finite_number_exits_2(config, capsys, section, key):
+    doc = base_doc()
+    doc[section][key] = math.inf
+    code, out, err = run(capsys, "solve", "--config", config(doc))
+    assert code == 2
+    assert out == ""
+    assert f"{section}.{key}: expected a finite number" in err
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

@@ -5,8 +5,11 @@ import pytest
 
 from fcrbid import (
     AssumptionError,
+    BatterySpec,
     EfficiencyPair,
+    MarketPrices,
     PurchaseContext,
+    RegulationContract,
     asymptotic_slope,
     empirical,
     expected_charge_rate,
@@ -16,9 +19,11 @@ from fcrbid import (
     purchase_power_many,
     purchase_slopes,
     slope_bounds,
+    solve_inelastic,
     three_point_upper,
     two_point_lower,
 )
+from fcrbid.distributions import DeviationDistribution
 
 import oracles
 
@@ -136,7 +141,7 @@ def test_asymptotic_slope_fixed_point_residual():
 
 
 def test_slope_bounds_are_the_extremal_slopes():
-    """The closed-form bracket equals the bisected slope under the matching
+    """The closed-form bracket equals the computed slope under the matching
     extremal law, so the bracket is tight."""
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -233,16 +238,20 @@ def test_purchase_flat_then_rises_under_two_point_law():
 
 def test_purchase_solves_the_rate_equation():
     rng = np.random.default_rng(9)
+    draws = np.random.default_rng(10)
     for _ in range(40):
         ep = float(rng.uniform(0.4, 1.0))
         em = float(rng.uniform(0.4, 1.0))
         mad = float(rng.uniform(0.03, 0.9))
         target = float(rng.uniform(-1.0, 1.0))
-        ctx = ctx_for(ep, em, logistic(mad), target)
         xr = float(rng.uniform(0.01, 50.0))
-        xb = purchase_power(xr, ctx)
-        rate = expected_charge_rate(xb, xr, ctx.eff, ctx.dist)
-        assert abs(rate - target) <= 1e-9 * (1.0 + abs(target))
+        laws = (logistic(mad), two_point_lower(mad), three_point_upper(mad),
+                empirical(draws.uniform(-1.0, 1.0, 9)))
+        for law in laws:
+            ctx = ctx_for(ep, em, law, target)
+            xb = purchase_power(xr, ctx)
+            rate = expected_charge_rate(xb, xr, ctx.eff, ctx.dist)
+            assert abs(rate - target) <= 1e-9 * (1.0 + abs(target))
 
 
 def test_purchase_nondecreasing_and_convex():
@@ -258,7 +267,7 @@ def test_purchase_nondecreasing_and_convex():
 def test_purchase_beyond_the_asymptote_switch():
     ctx = ctx_for(0.9, 0.8, logistic(0.3), 0.25)
     assert purchase_power(2e12, ctx) == ctx.slope * 2e12
-    # just below the switch the bisection already sits on the asymptote
+    # just below the switch the inversion already sits on the asymptote
     near = purchase_power(9e11, ctx)
     assert math.isclose(near, ctx.slope * 9e11, rel_tol=1e-9)
 
@@ -363,14 +372,70 @@ def test_purchase_bounds_lower_holds_for_the_logistic():
 def test_purchase_scale_covariance():
     """Doubling the bid and the drift target doubles the purchase bit for
     bit; scaling by three matches to rounding."""
-    ctx1 = ctx_for(0.9, 0.8, logistic(0.3), 0.25)
-    ctx2 = ctx_for(0.9, 0.8, logistic(0.3), 0.5)
-    ctx3 = ctx_for(0.9, 0.8, logistic(0.3), 0.75)
-    for xr in (0.5, 2.0, 11.0):
-        g = purchase_power(xr, ctx1)
-        assert purchase_power(2.0 * xr, ctx2) == 2.0 * g
-        assert math.isclose(purchase_power(3.0 * xr, ctx3), 3.0 * g,
-                            rel_tol=1e-12)
+    for law in (logistic(0.3), two_point_lower(0.3),
+                empirical([0.1, -0.4, 0.25, 0.7])):
+        ctx1 = ctx_for(0.9, 0.8, law, 0.25)
+        ctx2 = ctx_for(0.9, 0.8, law, 0.5)
+        ctx3 = ctx_for(0.9, 0.8, law, 0.75)
+        for xr in (0.5, 2.0, 11.0):
+            g = purchase_power(xr, ctx1)
+            assert purchase_power(2.0 * xr, ctx2) == 2.0 * g
+            assert math.isclose(purchase_power(3.0 * xr, ctx3), 3.0 * g,
+                                rel_tol=1e-12)
+
+
+# the README law first, then the other families at the same spread
+FOUR_LAWS = (logistic(0.0816), two_point_lower(0.0816),
+             three_point_upper(0.0816), empirical([0.02, -0.1, 0.05, 0.15]))
+
+
+def count_scdf_calls(monkeypatch):
+    calls = []
+    scdf = DeviationDistribution.scdf
+
+    def counted(self, z):
+        calls.append(z)
+        return scdf(self, z)
+
+    monkeypatch.setattr(DeviationDistribution, "scdf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
+def test_inversion_work_is_bounded(law, monkeypatch):
+    """The slope and each purchase take a handful of law evaluations, and an
+    unbalanced solve of the README battery stays within a thousand."""
+    calls = count_scdf_calls(monkeypatch)
+    eff = EfficiencyPair(0.9, 0.8)
+    asymptotic_slope(eff, law)
+    assert 0 < len(calls) <= 10
+    for target in (0.25, -0.15):
+        ctx = PurchaseContext(eff, law, target)
+        for xr in (0.05, 0.7, 4.0, 60.0):
+            calls.clear()
+            purchase_power(xr, ctx)
+            assert 0 < len(calls) <= 10
+    bat = BatterySpec(60.0, 18.0, 15.0, 20.0, 26.0, eff)
+    con = RegulationContract(horizon_h=12.0, budget_h=2.4)
+    for cr in (0.9, 0.2):
+        calls.clear()
+        solve_inelastic(bat, con, MarketPrices(cb=5.1, cr=cr), law)
+        assert len(calls) <= 1000
+
+
+def test_purchase_at_large_bids_with_a_small_target():
+    """Far out on the curve the purchase still solves the rate equation and
+    stays between its zero-bid level and the asymptote, both to rounding at
+    the bid's scale."""
+    for law in FOUR_LAWS:
+        for target in (-2e-6, 2e-6):
+            ctx = ctx_for(0.9, 0.8, law, target)
+            base = ctx.base_purchase
+            for xr in (1e9, 3e10, 4e11):
+                xb = purchase_power(xr, ctx)
+                rate = expected_charge_rate(xb, xr, ctx.eff, ctx.dist)
+                assert abs(rate - target) <= 1e-14 * xr
+                assert base - 1e-14 * xr <= xb <= base + (ctx.slope + 1e-14) * xr
 
 
 def test_context_slope_matches_free_function():
