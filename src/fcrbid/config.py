@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,8 +75,22 @@ def _int(sec: dict, key: str, path: str, default=_MISSING) -> int:
     return value
 
 
-def _battery(sec: dict) -> BatterySpec:
+@contextmanager
+def _section(name: str):
+    """Prefix a value error from a constructor with the section name.
+
+    A ConfigError already names its field path and passes through as is.
+    """
     try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _battery(sec: dict) -> BatterySpec:
+    with _section("battery"):
         eff = EfficiencyPair(
             _num(sec, "eta_plus", "battery"), _num(sec, "eta_minus", "battery")
         )
@@ -87,23 +102,19 @@ def _battery(sec: dict) -> BatterySpec:
             soc_target_kwh=_num(sec, "soc_target_kwh", "battery"),
             eff=eff,
         )
-    except ValueError as exc:
-        raise ConfigError(f"battery: {exc}") from exc
 
 
 def _contract(sec: dict) -> RegulationContract:
-    try:
+    with _section("contract"):
         return RegulationContract(
             horizon_h=_num(sec, "horizon_h", "contract"),
             budget_h=_num(sec, "budget_h", "contract"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"contract: {exc}") from exc
 
 
 def _prices(sec: dict) -> MarketPrices:
     mode = sec.get("mode", "inelastic")
-    try:
+    with _section("prices"):
         if mode == "inelastic":
             return MarketPrices(
                 mode="inelastic",
@@ -118,8 +129,6 @@ def _prices(sec: dict) -> MarketPrices:
                 ca0=_num(sec, "ca0_cts_per_kw_h", "prices"),
                 cad=_num(sec, "cad_cts_per_kw_h_per_kw", "prices"),
             )
-    except ValueError as exc:
-        raise ConfigError(f"prices: {exc}") from exc
     raise ConfigError(f"prices.mode: unknown mode {mode!r}")
 
 
@@ -149,18 +158,14 @@ def _distribution(sec: dict, base_dir: Path) -> DeviationDistribution:
             raise ConfigError(
                 "distribution: empirical kind needs samples or samples_path"
             )
-        try:
+    with _section("distribution"):
+        if samples is not None:
             return build_distribution(kind, samples=samples)
-        except ValueError as exc:
-            raise ConfigError(f"distribution: {exc}") from exc
-    try:
         return build_distribution(kind, mad=_num(sec, "mad", "distribution"))
-    except ValueError as exc:
-        raise ConfigError(f"distribution: {exc}") from exc
 
 
 def _investment(sec: dict) -> InvestmentSpec:
-    try:
+    with _section("investment"):
         return InvestmentSpec(
             energy_capex=_num(sec, "energy_capex", "investment"),
             power_capex=_num(sec, "power_capex", "investment"),
@@ -169,8 +174,6 @@ def _investment(sec: dict) -> InvestmentSpec:
             discount_rate=_num(sec, "discount_rate", "investment"),
             fx_rate=_num(sec, "fx_rate", "investment", 1.0),
         )
-    except ValueError as exc:
-        raise ConfigError(f"investment: {exc}") from exc
 
 
 def parse_config(doc: dict, base_dir: Path | None = None) -> ProblemConfig:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .distributions import DeviationDistribution
 from .feasible import BatterySpec, RegulationContract
-from .purchase import expected_charge_rate
+from .purchase import EfficiencyPair
 
 __all__ = [
     "Trajectory",
@@ -41,6 +41,10 @@ Z99 = 2.5758293035489004
 # so results for a given (seed, n_paths) are bit-identical no matter how
 # chunks are scheduled, as long as partial sums are combined in index order.
 CHUNK = 8192
+
+# Signal-array elements per block of the feasibility sweep: it bounds the
+# memory, and a block's temporaries (256 KiB each) stay in a core's L2 cache.
+SWEEP_BLOCK = 32768
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +121,12 @@ def sample_trajectory(dist: DeviationDistribution, con: RegulationContract,
     return Trajectory(values, dt)
 
 
+def _charge_rate(power, eff: EfficiencyPair):
+    """Rate of change of the state of charge at a grid power: eta_plus * p
+    when charging, p / eta_minus when discharging (both efficiencies <= 1)."""
+    return np.minimum(eff.eta_plus * power, power / eff.eta_minus)
+
+
 def integrate_soc(xb: float, xr: float, traj: Trajectory,
                   bat: BatterySpec) -> np.ndarray:
     """State of charge on the trajectory's grid, length n_steps + 1.
@@ -126,13 +136,9 @@ def integrate_soc(xb: float, xr: float, traj: Trajectory,
     violations are exactly what the feasibility checks look for.
     """
     power = xb + traj.values * xr
-    rate = (
-        bat.eff.eta_plus * np.maximum(power, 0.0)
-        - np.maximum(-power, 0.0) / bat.eff.eta_minus
-    )
     soc = np.empty(traj.n_steps + 1)
     soc[0] = 0.0
-    np.cumsum(rate * traj.dt_h, out=soc[1:])
+    np.cumsum(_charge_rate(power, bat.eff) * traj.dt_h, out=soc[1:])
     soc += bat.soc0_kwh
     return soc
 
@@ -182,13 +188,7 @@ def mc_expected_terminal_soc(xb: float, xr: float, bat: BatterySpec,
     dt = con.horizon_h / n_steps
     if xr == 0.0:
         # Deterministic: every path charges at the same constant rate.
-        rate = (
-            bat.eff.eta_plus * max(xb, 0.0)
-            - max(-xb, 0.0) / bat.eff.eta_minus
-        )
-        return bat.soc0_kwh + con.horizon_h * rate, 0.0
-    eta_p = bat.eff.eta_plus
-    inv_eta_m = 1.0 / bat.eff.eta_minus
+        return bat.soc0_kwh + con.horizon_h * float(_charge_rate(xb, bat.eff)), 0.0
     chunks = []
     done = 0
     chunk_idx = 0
@@ -196,8 +196,7 @@ def mc_expected_terminal_soc(xb: float, xr: float, bat: BatterySpec,
         size = min(CHUNK, n_paths - done)
         rng = np.random.default_rng([seed, chunk_idx])
         draws = dist.sample_with(rng, (size, n_steps))
-        power = xb + draws * xr
-        rate = eta_p * np.maximum(power, 0.0) - inv_eta_m * np.maximum(-power, 0.0)
+        rate = _charge_rate(xb + draws * xr, bat.eff)
         chunks.append(bat.soc0_kwh + dt * rate.sum(axis=1))
         done += size
         chunk_idx += 1
@@ -246,8 +245,10 @@ class FeasibilityReport:
     ``attained`` maps each worst-case quantity to its closed-form value and
     the value reached by the matching extreme signal; the two agree up to
     roundoff when the reduction is tight.  ``sampled_max_violation`` is the
-    largest pathwise bound violation over all checked signals (the two
-    extreme ones plus the random members).
+    largest pathwise bound violation over all ``n_signals`` checked signals:
+    the two extreme ones plus random members of the uncertainty set, iid
+    uniform on [-1, 1] per step, scaled to the budget and drawn in one
+    stream from the seed.
     """
 
     checks: tuple[ConstraintCheck, ...]
@@ -272,30 +273,6 @@ class FeasibilityReport:
         }
 
 
-def _signal_violation(power: np.ndarray, soc: np.ndarray,
-                      bat: BatterySpec) -> float:
-    return max(
-        float(np.max(power)) - bat.charge_cap_kw,
-        float(np.max(-power)) - bat.discharge_cap_kw,
-        float(np.max(soc)) - bat.cap_kwh,
-        -float(np.min(soc)),
-        0.0,
-    )
-
-
-def _random_member(rng: np.random.Generator, n_steps: int, dt: float,
-                   budget_h: float) -> np.ndarray:
-    """A random member of the uncertainty set: uniform magnitudes with
-    random signs, scaled down if the budget would be exceeded."""
-    magnitudes = rng.uniform(0.0, 1.0, n_steps)
-    signs = rng.integers(0, 2, n_steps) * 2 - 1
-    values = magnitudes * signs
-    total = float(np.sum(np.abs(values)) * dt)
-    if total > budget_h:
-        values *= budget_h / total
-    return values
-
-
 def check_robust_feasibility(xb: float, xr: float, bat: BatterySpec,
                              con: RegulationContract, n_random: int = 1000,
                              seed: int = 0,
@@ -305,7 +282,10 @@ def check_robust_feasibility(xb: float, xr: float, bat: BatterySpec,
     Reports the four closed-form constraints, the worst-case power and
     state-of-charge levels attained by the two extreme signals, and the
     largest pathwise violation over the extreme signals plus ``n_random``
-    random members of the uncertainty set.
+    random members of the uncertainty set: iid uniform on [-1, 1] per step,
+    drawn in one stream from ``seed``, each scaled down where its activation
+    sum |v| * dt exceeds the budget.  The signals are swept as row blocks
+    of one array, at most about SWEEP_BLOCK elements at a time.
     """
     if xr < 0.0:
         raise ValueError("regulation power must be nonnegative")
@@ -331,37 +311,50 @@ def check_robust_feasibility(xb: float, xr: float, bat: BatterySpec,
 
     if n_steps is None:
         n_steps = _aligned_steps(con, 512)
-    up, down = worst_case_signals(con, n_steps)
-    soc_up = integrate_soc(xb, xr, up, bat)
-    soc_down = integrate_soc(xb, xr, down, bat)
-    attained = {
-        "charge_power": (xr + xb, float(np.max(xb + up.values * xr))),
-        "discharge_power": (xr - xb, float(np.max(-(xb + down.values * xr)))),
-        "soc_max": (
-            y0 + eta_p * max(0.0, gamma * (xb + xr), gamma * xr + horizon * xb),
-            float(np.max(soc_up)),
-        ),
-        "soc_min": (
-            y0 - max(0.0, gamma * (xr - xb), gamma * xr - horizon * xb) / eta_m,
-            float(np.min(soc_down)),
-        ),
-    }
-
-    worst = 0.0
-    signals = 0
-    for traj in (up, down):
-        power = xb + traj.values * xr
-        worst = max(worst, _signal_violation(power, integrate_soc(xb, xr, traj, bat), bat))
-        signals += 1
-    rng = np.random.default_rng(seed)
     dt = horizon / n_steps
-    for _ in range(n_random):
-        values = _random_member(rng, n_steps, dt, gamma)
-        traj = Trajectory(values, dt)
-        power = xb + values * xr
-        worst = max(worst, _signal_violation(power, integrate_soc(xb, xr, traj, bat), bat))
-        signals += 1
-    return FeasibilityReport(checks, feasible, attained, worst, signals)
+    up, down = worst_case_signals(con, n_steps)
+    rng = np.random.default_rng(seed)
+    rows = max(1, SWEEP_BLOCK // n_steps)
+    values = np.stack((up.values, down.values))
+    worst, n_signals = 0.0, 0
+    while True:
+        power = np.multiply(values, xr, out=values)
+        power += xb
+        # Energy stored after each step, the state of charge less y0 (which
+        # lies in [0, cap]).  Rounding is monotone, so y0 + max(stored) is
+        # exactly the largest state of charge, and likewise the smallest.
+        stored = _charge_rate(power, bat.eff)
+        stored *= dt
+        np.cumsum(stored, axis=1, out=stored)
+        if not n_signals:  # rows 0 and 1 are the up and down signals
+            attained = {
+                "charge_power": (xr + xb, float(power[0].max())),
+                "discharge_power": (xr - xb, -float(power[1].min())),
+                "soc_max": (
+                    y0 + eta_p * max(0.0, gamma * (xb + xr), gamma * xr + horizon * xb),
+                    y0 + max(0.0, float(stored[0].max())),
+                ),
+                "soc_min": (
+                    y0 - max(0.0, gamma * (xr - xb), gamma * xr - horizon * xb) / eta_m,
+                    y0 + min(0.0, float(stored[1].min())),
+                ),
+            }
+        worst = max(
+            worst,
+            float(power.max()) - bat.charge_cap_kw,
+            -float(power.min()) - bat.discharge_cap_kw,
+            y0 + float(stored.max()) - bat.cap_kwh,
+            -(y0 + float(stored.min())),
+        )
+        n_signals += len(values)
+        if n_signals >= n_random + 2:
+            break
+        # Members come from one stream in order, so the block size does not
+        # change them.
+        values = rng.uniform(-1.0, 1.0, (min(rows, n_random + 2 - n_signals), n_steps))
+        activation = np.abs(values).sum(axis=1) * dt
+        values *= np.minimum(1.0, gamma / activation)[:, None]
+    return FeasibilityReport(checks, feasible, attained, worst, n_signals)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

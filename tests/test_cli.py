@@ -473,6 +473,26 @@ def test_non_finite_number_exits_2(config, capsys, section, key):
     assert f"{section}.{key}: expected a finite number" in err
 
 
+@pytest.mark.parametrize("section,key", [("battery", "cap_kwh"),
+                                         ("contract", "budget_h")])
+@pytest.mark.parametrize("value,message", [
+    (None, "missing required field"),
+    ("ten", "expected a number"),
+    (math.inf, "expected a finite number"),
+])
+def test_field_error_names_its_path_once(config, capsys, section, key,
+                                         value, message):
+    doc = base_doc()
+    if value is None:
+        del doc[section][key]
+    else:
+        doc[section][key] = value
+    code, out, err = run(capsys, "solve", "--config", config(doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {section}.{key}: {message}\n"
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

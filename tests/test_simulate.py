@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fcrbid import simulate
 from fcrbid import (
     BatterySpec,
     EfficiencyPair,
@@ -253,6 +254,46 @@ def test_feasibility_report_flags_overbidding():
     assert len(doc["constraints"]) == 4
     assert set(doc["attained"]) == {"charge_power", "discharge_power",
                                     "soc_max", "soc_min"}
+
+
+@pytest.mark.parametrize("extremes", ["worst_case", "zero"])
+def test_feasibility_sweep_matches_a_per_signal_loop(monkeypatch, extremes):
+    """The array sweep gives exactly the violation of integrating every
+    signal on its own.  With the extreme signals replaced by zero ones, the
+    random members set the maximum, so their draw is checked too.  The
+    budget is half the horizon, about the mean activation of an unscaled
+    member, so some members are scaled to the budget and some are not."""
+    bat, _ = balanced_instance()
+    con = RegulationContract(12.0, 6.0)
+    n_steps, n_random, seed = 4096, 1000, 8
+    xb, xr = 2.0, 60.0
+    dt = con.horizon_h / n_steps
+    if extremes == "zero":
+        zero = Trajectory(np.zeros(n_steps), dt)
+        monkeypatch.setattr(simulate, "worst_case_signals",
+                            lambda con, n_steps: (zero, zero))
+    members = np.random.default_rng(seed).uniform(-1.0, 1.0, (n_random, n_steps))
+    for values in members:
+        activation = np.sum(np.abs(values)) * dt
+        if activation > con.budget_h:
+            values *= con.budget_h / activation
+    assert np.all(np.abs(members) <= 1.0)
+    assert np.all(np.sum(np.abs(members), axis=1) * dt
+                  <= con.budget_h * (1.0 + 1e-12))
+
+    signals = [t.values for t in simulate.worst_case_signals(con, n_steps)]
+    worst = 0.0
+    for values in signals + list(members):
+        power = xb + values * xr
+        soc = integrate_soc(xb, xr, Trajectory(values, dt), bat)
+        worst = max(worst, float(np.max(power)) - bat.charge_cap_kw,
+                    float(np.max(-power)) - bat.discharge_cap_kw,
+                    float(np.max(soc)) - bat.cap_kwh, -float(np.min(soc)))
+    report = check_robust_feasibility(xb, xr, bat, con, n_random=n_random,
+                                      seed=seed, n_steps=n_steps)
+    assert report.n_signals == n_random + 2
+    assert worst > 1.0
+    assert report.sampled_max_violation == worst
 
 
 def test_feasibility_rejects_negative_bid():
