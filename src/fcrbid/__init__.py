@@ -19,9 +19,11 @@ from .distributions import (
 from .econ import (
     HOURS_PER_YEAR,
     InvestmentSpec,
+    SizingRule,
     annualized_cost,
     annuity_factor,
     effective_yearly_profit,
+    energy_constrained_optimum,
     operating_profit,
     required_charger_rate,
     unit_profit,
@@ -78,9 +80,8 @@ from .simulate import (
 from .solver import (
     BidSolution,
     MarketPrices,
-    SizingRule,
     analytic_bid,
-    energy_constrained_optimum,
+    solve,
     solve_elastic,
     solve_inelastic,
 )
@@ -116,14 +117,15 @@ __all__ = [
     # solver
     "MarketPrices",
     "BidSolution",
-    "SizingRule",
+    "solve",
     "solve_inelastic",
     "solve_elastic",
     "analytic_bid",
-    "energy_constrained_optimum",
     # economics
     "HOURS_PER_YEAR",
     "InvestmentSpec",
+    "SizingRule",
+    "energy_constrained_optimum",
     "unit_profit",
     "operating_profit",
     "required_charger_rate",

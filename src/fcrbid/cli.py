@@ -24,6 +24,7 @@ from .econ import (
     HOURS_PER_YEAR,
     annualized_cost,
     effective_yearly_profit,
+    energy_constrained_optimum,
     operating_profit,
     required_charger_rate,
     unit_profit,
@@ -62,7 +63,8 @@ from .simulate import (
     sample_trajectory,
     write_trajectory_csv,
 )
-from .solver import analytic_bid, energy_constrained_optimum, solve_elastic, solve_inelastic
+from .solver import analytic_bid, solve
+from .solver import solve_elastic, solve_inelastic  # noqa: F401  traced by perfbench/layers.py
 
 __all__ = ["main"]
 
@@ -94,6 +96,16 @@ def _fmt(value):
     return value
 
 
+def _count(floor: int):
+    """argparse type for an integer flag of at least ``floor``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+    return count
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
         start, stop, step = (float(tok) for tok in text.split(":"))
@@ -117,10 +129,7 @@ def _parse_grid(text: str) -> list[float]:
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    if cfg.prices.mode == "elastic":
-        sol = solve_elastic(cfg.battery, cfg.contract, cfg.prices, cfg.distribution)
-    else:
-        sol = solve_inelastic(cfg.battery, cfg.contract, cfg.prices, cfg.distribution)
+    sol = solve(cfg.battery, cfg.contract, cfg.prices, cfg.distribution)
     _emit_json({"command": "solve", "solution": sol.to_dict()}, args.out)
     return 0
 
@@ -135,12 +144,7 @@ def _cmd_analytic(args) -> int:
             "command": "analytic",
             "slope": ctx.slope,
             "analytic_bid_kw": bid,
-            "sizing": {
-                "xr_kw": sizing.xr_kw,
-                "soc0_kwh": sizing.soc0_kwh,
-                "c_rate_per_h": sizing.c_rate_per_h,
-                "binding": sizing.binding,
-            },
+            "sizing": sizing._asdict(),
         },
         args.out,
     )
@@ -345,14 +349,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    ctx = context_for(cfg.battery, cfg.contract, cfg.distribution)
-    if cfg.prices.mode == "elastic":
-        sol = solve_elastic(cfg.battery, cfg.contract, cfg.prices, cfg.distribution)
-    else:
-        sol = solve_inelastic(cfg.battery, cfg.contract, cfg.prices, cfg.distribution)
+    sol = solve(cfg.battery, cfg.contract, cfg.prices, cfg.distribution)
     xr, xb = sol.xr_kw, sol.xb_kw
     seed = args.seed if args.seed is not None else cfg.seed
-    n_steps = args.n_steps or 48
 
     analytic = (
         cfg.battery.soc0_kwh
@@ -361,7 +360,7 @@ def _cmd_verify(args) -> int:
     )
     mean, half_width = mc_expected_terminal_soc(
         xb, xr, cfg.battery, cfg.contract, cfg.distribution,
-        n_steps, args.paths, seed,
+        args.n_steps, args.paths, seed,
     )
     esoc_ok = abs(mean - analytic) <= half_width or half_width == 0.0
 
@@ -370,7 +369,7 @@ def _cmd_verify(args) -> int:
     )
     feas_ok = feas.feasible and feas.sampled_max_violation <= 1e-9
 
-    traj = sample_trajectory(cfg.distribution, cfg.contract, n_steps, seed)
+    traj = sample_trajectory(cfg.distribution, cfg.contract, args.n_steps, seed)
     absolute = type(traj)(np.abs(traj.values), traj.dt_h)
     ordered = rearrange_nonincreasing(absolute)
     slack = float(
@@ -424,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("analytic", _cmd_analytic, "closed forms for a balanced target")
 
     p = add("bounds", _cmd_bounds, "purchase curve with envelopes over a bid grid")
-    p.add_argument("--grid", type=int, default=101, help="number of grid points")
+    p.add_argument("--grid", type=_count(1), default=101, help="number of grid points")
     p.add_argument("--max-xr", type=float, default=None, help="grid upper end in kW")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -454,16 +453,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xr", type=float, default=None, help="bid in kW (default: max feasible)")
     p.add_argument("--xb", type=float, default=None,
                    help="purchase in kW (default: implied by the bid)")
-    p.add_argument("--n-steps", type=int, default=None)
+    p.add_argument("--n-steps", type=_count(1), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-cap", action="store_true", help="skip budget capping")
     p.add_argument("--trajectory-out", help="also write the trajectory CSV here")
 
     p = add("verify", _cmd_verify, "check the closed forms against simulation")
-    p.add_argument("--paths", type=int, default=100_000)
+    p.add_argument("--paths", type=_count(100), default=100_000)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-steps", type=int, default=None)
-    p.add_argument("--n-random", type=int, default=1000)
+    p.add_argument("--n-steps", type=_count(1), default=48)
+    p.add_argument("--n-random", type=_count(0), default=1000)
 
     return parser
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .feasible import BatterySpec, RegulationContract
 from .purchase import EfficiencyPair
@@ -16,6 +17,8 @@ from .solver import MarketPrices
 __all__ = [
     "HOURS_PER_YEAR",
     "InvestmentSpec",
+    "SizingRule",
+    "energy_constrained_optimum",
     "unit_profit",
     "operating_profit",
     "required_charger_rate",
@@ -55,6 +58,48 @@ class InvestmentSpec:
             raise ValueError("discount_rate must lie in (0, 1)")
 
 
+class SizingRule(NamedTuple):
+    """Energy-optimal operating point for a balanced storage device."""
+
+    xr_kw: float
+    soc0_kwh: float
+    c_rate_per_h: float
+    binding: str
+
+
+def _energy_denominator(eff: EfficiencyPair, con: RegulationContract, slope: float) -> float:
+    """Denominator of the energy-bound bid eta_minus * capacity / (horizon *
+    denominator): q (1 + a - m) + a m for activation q, roundtrip a, slope m."""
+    a = eff.roundtrip
+    q = con.activation
+    return q * (1.0 + a - slope) + a * slope
+
+
+def energy_constrained_optimum(bat: BatterySpec, con: RegulationContract,
+                               slope: float) -> SizingRule:
+    """Best bid over the initial state of charge, and the sizing it implies.
+
+    Maximising the closed-form bid over the initial state equalises the
+    ceiling and floor energy terms.  Returns the maximal bid, the optimal
+    initial state, the minimum charger size per kWh of storage that keeps
+    the energy term binding, and which term limits the bid.
+    """
+    a = bat.eff.roundtrip
+    horizon = con.horizon_h
+    terms = {
+        "discharge_cap": bat.discharge_cap_kw / (1.0 - slope),
+        "charge_cap": bat.charge_cap_kw / (1.0 + slope),
+        "energy": bat.eff.eta_minus / _energy_denominator(bat.eff, con, slope)
+        * bat.cap_kwh / horizon,
+    }
+    binding = min(terms, key=terms.get)
+    soc0 = (1.0 - slope) * bat.cap_kwh / (
+        1.0 + a + (a * horizon / con.budget_h - 1.0) * slope
+    )
+    c_rate = required_charger_rate(bat.eff, con, slope)
+    return SizingRule(terms[binding], soc0, c_rate, binding)
+
+
 def unit_profit(prices: MarketPrices, slope: float) -> float:
     """Profit per kW of regulation per hour, net of expected losses.
 
@@ -75,9 +120,7 @@ def operating_profit(bat: BatterySpec, con: RegulationContract,
     efficiency terms, and the horizon length cancels out of the product,
     leaving a function of the activation ratio alone.
     """
-    a = bat.eff.roundtrip
-    q = con.activation
-    denom = q * (1.0 + a - slope) + a * slope
+    denom = _energy_denominator(bat.eff, con, slope)
     return unit_profit(prices, slope) * bat.eff.eta_minus / denom
 
 
@@ -85,9 +128,7 @@ def required_charger_rate(eff: EfficiencyPair, con: RegulationContract,
                           slope: float) -> float:
     """Minimum charger size per kWh of storage that keeps the energy term
     binding, in kW per kWh (equivalently 1/h)."""
-    a = eff.roundtrip
-    q = con.activation
-    denom = q * (1.0 + a - slope) + a * slope
+    denom = _energy_denominator(eff, con, slope)
     return (1.0 + slope) * eff.eta_minus / denom / con.horizon_h
 
 

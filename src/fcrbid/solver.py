@@ -13,8 +13,8 @@ smaller bid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+import math
+from dataclasses import asdict, dataclass
 
 from .distributions import DeviationDistribution
 from .errors import AssumptionError, TargetMismatchError
@@ -25,11 +25,10 @@ from .rootfind import bisect_threshold
 __all__ = [
     "MarketPrices",
     "BidSolution",
-    "SizingRule",
+    "solve",
     "solve_inelastic",
     "solve_elastic",
     "analytic_bid",
-    "energy_constrained_optimum",
 ]
 
 
@@ -68,6 +67,13 @@ class MarketPrices:
         else:
             raise ValueError(f"unknown price mode {self.mode!r}")
 
+    @property
+    def coefficients(self) -> tuple[float, float, float, float]:
+        """Affine price curves (cb0, cbd, ca0, cad); fixed prices have zero slopes."""
+        if self.mode == "inelastic":
+            return self.cb, 0.0, self.cr, 0.0
+        return self.cb0, self.cbd, self.ca0, self.cad
+
 
 @dataclass(frozen=True)
 class BidSolution:
@@ -82,15 +88,7 @@ class BidSolution:
     diagnostics: dict
 
     def to_dict(self) -> dict:
-        return {
-            "xr_kw": self.xr_kw,
-            "xb_kw": self.xb_kw,
-            "objective_cts": self.objective_cts,
-            "candidate": self.candidate,
-            "xr_max_kw": self.xr_max_kw,
-            "slope": self.slope,
-            "diagnostics": dict(self.diagnostics),
-        }
+        return asdict(self)
 
 
 def _solve_with_ratio(bat: BatterySpec, con: RegulationContract,
@@ -98,7 +96,7 @@ def _solve_with_ratio(bat: BatterySpec, con: RegulationContract,
     """Shared three-candidate selection.
 
     ``ratio_at(xr)`` returns the marginal bid revenue over the marginal
-    purchase price at ``xr``; for inelastic prices it is constant.  The
+    purchase price at ``xr``; for fixed prices it is constant.  The
     optimum is the smallest bid whose right slope reaches the ratio, or a
     boundary candidate.
     """
@@ -115,65 +113,59 @@ def _solve_with_ratio(bat: BatterySpec, con: RegulationContract,
     return xr, "stationary", xr_max
 
 
-def solve_inelastic(bat: BatterySpec, con: RegulationContract,
-                    prices: MarketPrices, dist: DeviationDistribution) -> BidSolution:
-    """Minimise the net cost under fixed prices."""
-    if prices.mode != "inelastic":
-        raise ValueError("solve_inelastic needs inelastic prices")
-    ctx = context_for(bat, con, dist)
-    ratio = prices.cr / prices.cb
-    xr, candidate, xr_max = _solve_with_ratio(bat, con, ctx, lambda _x: ratio)
-    xb = purchase_power(xr, ctx)
-    objective = con.horizon_h * (prices.cb * xb - prices.cr * xr)
-    return BidSolution(
-        xr, xb, objective, candidate, xr_max, ctx.slope,
-        {
-            "price_ratio": ratio,
-            "base_purchase_kw": ctx.base_purchase,
-            "right_slope_at_zero": purchase_slopes(0.0, ctx)[1],
-        },
-    )
+def solve(bat: BatterySpec, con: RegulationContract,
+          prices: MarketPrices, dist: DeviationDistribution) -> BidSolution:
+    """Minimise the net cost under either price model.
 
-
-def solve_elastic(bat: BatterySpec, con: RegulationContract,
-                  prices: MarketPrices, dist: DeviationDistribution) -> BidSolution:
-    """Minimise the net cost under affine price elasticities.
-
-    With zero elasticities this reproduces :func:`solve_inelastic` exactly
-    (same candidate tests, same bisection path).  Convexity of the net cost
-    requires the energy price to stay nonnegative over the purchase range,
-    i.e. base purchase >= -cb0 / (2 cbd); violated input raises.
+    Fixed prices are the affine curves with zero slopes, so both models go
+    through the same candidate tests and bisection path.  Convexity of the
+    net cost requires the energy price to stay nonnegative over the purchase
+    range, i.e. base purchase >= -cb0 / (2 cbd); violated input raises.
     """
-    if prices.mode != "elastic":
-        raise ValueError("solve_elastic needs elastic prices")
+    cb0, cbd, ca0, cad = prices.coefficients
     ctx = context_for(bat, con, dist)
-    if prices.cbd > 0.0 and ctx.base_purchase < -prices.cb0 / (2.0 * prices.cbd):
-        raise AssumptionError(
-            "energy price elasticity turns the net cost non-convex at the "
-            "base purchase"
-        )
+    if cbd > 0.0 and ctx.base_purchase < -cb0 / (2.0 * cbd):
+        raise AssumptionError("energy price elasticity turns the net cost non-convex "
+                              "at the base purchase")
 
     def ratio_at(xr: float) -> float:
-        margin = prices.ca0 - 2.0 * prices.cad * xr
-        level = prices.cb0 + 2.0 * prices.cbd * purchase_power(xr, ctx)
+        margin = ca0 - 2.0 * cad * xr
+        # At zero slope the level is cb0; skipping the purchase saves its law evaluations.
+        level = cb0 + 2.0 * cbd * purchase_power(xr, ctx) if cbd != 0.0 else cb0
         if level <= 0.0:
             return float("inf") if margin > 0.0 else float("-inf")
         return margin / level
 
     xr, candidate, xr_max = _solve_with_ratio(bat, con, ctx, ratio_at)
     xb = purchase_power(xr, ctx)
-    objective = con.horizon_h * (
-        prices.cb0 * xb + prices.cbd * xb * xb
-        - prices.ca0 * xr + prices.cad * xr * xr
-    )
+    objective = con.horizon_h * (cb0 * xb + cbd * xb * xb - ca0 * xr + cad * xr * xr)
+    # A zero marginal energy price leaves the ratio unbounded; JSON has no infinity.
+    at_zero, at_xr = (r if math.isfinite(r) else None for r in (ratio_at(0.0), ratio_at(xr)))
     return BidSolution(
         xr, xb, objective, candidate, xr_max, ctx.slope,
         {
-            "price_ratio_at_solution": ratio_at(xr),
+            "price_ratio": at_zero,
+            "price_ratio_at_solution": at_xr,
             "base_purchase_kw": ctx.base_purchase,
             "right_slope_at_zero": purchase_slopes(0.0, ctx)[1],
         },
     )
+
+
+def solve_inelastic(bat: BatterySpec, con: RegulationContract,
+                    prices: MarketPrices, dist: DeviationDistribution) -> BidSolution:
+    """:func:`solve` for fixed prices; other prices raise ``ValueError``."""
+    if prices.mode != "inelastic":
+        raise ValueError("solve_inelastic needs inelastic prices")
+    return solve(bat, con, prices, dist)
+
+
+def solve_elastic(bat: BatterySpec, con: RegulationContract,
+                  prices: MarketPrices, dist: DeviationDistribution) -> BidSolution:
+    """:func:`solve` for affine prices; other prices raise ``ValueError``."""
+    if prices.mode != "elastic":
+        raise ValueError("solve_elastic needs elastic prices")
+    return solve(bat, con, prices, dist)
 
 
 def analytic_bid(bat: BatterySpec, con: RegulationContract, slope: float) -> float:
@@ -193,39 +185,3 @@ def analytic_bid(bat: BatterySpec, con: RegulationContract, slope: float) -> flo
         eta_m * bat.soc0_kwh / (con.budget_h * (1.0 - slope)),
         bat.headroom_kwh / (eta_p * (con.budget_h + slope * con.horizon_h)),
     )
-
-
-class SizingRule(NamedTuple):
-    """Energy-optimal operating point for a balanced storage device."""
-
-    xr_kw: float
-    soc0_kwh: float
-    c_rate_per_h: float
-    binding: str
-
-
-def energy_constrained_optimum(bat: BatterySpec, con: RegulationContract,
-                               slope: float) -> SizingRule:
-    """Best bid over the initial state of charge, and the sizing it implies.
-
-    Maximising the closed-form bid over the initial state equalises the
-    ceiling and floor energy terms.  Returns the maximal bid, the optimal
-    initial state, the minimum charger size per kWh of storage that keeps
-    the energy term binding, and which term limits the bid.
-    """
-    a = bat.eff.roundtrip
-    eta_m = bat.eff.eta_minus
-    q = con.activation
-    horizon = con.horizon_h
-    denom = q * (1.0 + a - slope) + a * slope
-    terms = {
-        "discharge_cap": bat.discharge_cap_kw / (1.0 - slope),
-        "charge_cap": bat.charge_cap_kw / (1.0 + slope),
-        "energy": eta_m / denom * bat.cap_kwh / horizon,
-    }
-    binding = min(terms, key=terms.get)
-    soc0 = (1.0 - slope) * bat.cap_kwh / (
-        1.0 + a + (a * horizon / con.budget_h - 1.0) * slope
-    )
-    c_rate = (1.0 + slope) * eta_m / denom / horizon
-    return SizingRule(terms[binding], soc0, c_rate, binding)

@@ -111,6 +111,25 @@ def test_solve_out_file_matches_stdout(config, tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+def test_solve_reports_an_unbounded_price_ratio_as_null(config, capsys):
+    """At the convexity limit (cb0 + 2 cbd * base purchase = 1 - 2.5 * 0.4 = 0)
+    the marginal energy price at a zero bid is zero, so the ratio there is
+    unbounded: the solve still succeeds and reports it as null."""
+    doc = base_doc()
+    doc["battery"].update(cap_kwh=500.0, charge_cap_kw=50.0, discharge_cap_kw=50.0,
+                          soc0_kwh=200.0, soc_target_kwh=194.0)
+    doc["contract"] = {"horizon_h": 24.0, "budget_h": 7.2}
+    doc["prices"] = {"mode": "elastic", "cb0_cts_per_kwh": 1.0, "cbd_cts_per_kwh_per_kw": 2.5,
+                     "ca0_cts_per_kw_h": 1.0, "cad_cts_per_kw_h_per_kw": 0.0}
+    doc["distribution"]["mad"] = 0.1
+    code, out, err = run(capsys, "solve", "--config", config(doc))
+    assert code == 0 and err == ""
+    diagnostics = json.loads(out)["solution"]["diagnostics"]
+    assert diagnostics["base_purchase_kw"] == -0.2
+    assert diagnostics["price_ratio"] is None
+    assert diagnostics["price_ratio_at_solution"] > 0.0
+
+
 def test_analytic_matches_library(config, capsys):
     _, bat, con, dist, _ = _parts()
     ctx = context_for(bat, con, dist)
@@ -522,6 +541,24 @@ def test_infeasible_problem_exits_3(config, capsys):
     assert report["status"] == "infeasible"
     assert report["command"] == "solve"
     assert report["reason"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--grid", "0", "--format", "csv"),
+    ("bounds", "--grid", "-1"),
+    ("simulate", "--n-steps", "0"),
+    ("verify", "--n-steps", "0"),
+    ("verify", "--n-random", "-3", "--paths", "2000", "--n-steps", "24"),
+    ("verify", "--paths", "99"),
+    ("verify", "--paths", "1e5"),
+])
+def test_bad_count_flag_exits_2(config, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", config()])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert argv[1] in captured.err
 
 
 def test_version_flag(capsys):

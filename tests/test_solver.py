@@ -19,13 +19,17 @@ from fcrbid import (
     max_feasible_bid,
     purchase_power,
     purchase_power_many,
+    purchase_slopes,
     required_charger_rate,
+    solve,
     solve_elastic,
     solve_inelastic,
     two_point_lower,
 )
+from fcrbid.solver import _solve_with_ratio
 
 import oracles
+from test_purchase import FOUR_LAWS, count_scdf_calls
 
 
 def big_balanced_battery(eff, cap=1_000_000.0):
@@ -178,18 +182,42 @@ def test_solution_to_dict():
     assert doc["diagnostics"]["price_ratio"] == 0.9 / 3.5
 
 
-def test_elastic_with_zero_elasticities_matches_inelastic_bitwise():
-    bat = BatterySpec(500.0, 50.0, 50.0, 200.0, 206.0, EfficiencyPair(0.9, 0.8))
+def test_elastic_with_zero_elasticities_matches_inelastic_bitwise(monkeypatch):
+    """`solve`, `solve_inelastic` and zero-slope `solve_elastic` return the
+    same solution to the bit with the same law evaluations, over every law,
+    a balanced target and targets above and below it, and price ratios that
+    pick each candidate.  The first case is the original instance."""
+    calls = count_scdf_calls(monkeypatch)
+    eff = EfficiencyPair(0.9, 0.8)
     con = RegulationContract(24.0, 7.2)
-    d = logistic(0.3)
-    flat = solve_inelastic(bat, con, MarketPrices(cb=1.3, cr=0.05), d)
-    curvy = solve_elastic(
-        bat, con,
-        MarketPrices(mode="elastic", cb0=1.3, cbd=0.0, ca0=0.05, cad=0.0), d)
-    assert curvy.xr_kw == flat.xr_kw
-    assert curvy.xb_kw == flat.xb_kw
-    assert curvy.objective_cts == flat.objective_cts
-    assert curvy.candidate == flat.candidate
+    cases = [(BatterySpec(500.0, 50.0, 50.0, 200.0, 206.0, eff), logistic(0.3), 0.05)]
+    for law in FOUR_LAWS:
+        slope = asymptotic_slope(eff, law)
+        for target in (200.0, 206.0, 194.0):
+            bat = BatterySpec(500.0, 50.0, 50.0, 200.0, target, eff)
+            ctx = context_for(bat, con, law)
+            inner = purchase_slopes(0.5 * max_feasible_bid(bat, con, ctx), ctx)[1]
+            cases += [(bat, law, 1.3 * r) for r in (0.5 * slope, inner, 2.0 * slope)]
+    candidates = set()
+    for bat, d, cr in cases:
+        flat = MarketPrices(cb=1.3, cr=cr)
+        curvy = MarketPrices(mode="elastic", cb0=1.3, cbd=0.0, ca0=cr, cad=0.0)
+        runs = []
+        for fn, prices in ((solve, flat), (solve_inelastic, flat), (solve_elastic, curvy)):
+            calls.clear()
+            sol = fn(bat, con, prices, d)
+            runs.append((repr(sol), len(calls)))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+        # A constant ratio: the solve costs the context, the selection and
+        # the purchase at the bid, and no purchase inside the selection.
+        calls.clear()
+        ctx = context_for(bat, con, d)
+        xr = _solve_with_ratio(bat, con, ctx, lambda _x: cr / 1.3)[0]
+        purchase_power(xr, ctx)
+        assert (xr, len(calls)) == (sol.xr_kw, runs[0][1])
+        candidates.add(sol.candidate)
+    assert candidates == {"zero", "stationary", "boundary"}
 
 
 def test_elastic_interior_optimum_closed_form():
