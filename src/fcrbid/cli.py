@@ -352,6 +352,7 @@ def _cmd_verify(args) -> int:
     sol = solve(cfg.battery, cfg.contract, cfg.prices, cfg.distribution)
     xr, xb = sol.xr_kw, sol.xb_kw
     seed = args.seed if args.seed is not None else cfg.seed
+    paths = args.paths if args.paths is not None else cfg.n_paths
 
     analytic = (
         cfg.battery.soc0_kwh
@@ -360,7 +361,7 @@ def _cmd_verify(args) -> int:
     )
     mean, half_width = mc_expected_terminal_soc(
         xb, xr, cfg.battery, cfg.contract, cfg.distribution,
-        args.n_steps, args.paths, seed,
+        args.n_steps, paths, seed,
     )
     esoc_ok = abs(mean - analytic) <= half_width or half_width == 0.0
 
@@ -459,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory-out", help="also write the trajectory CSV here")
 
     p = add("verify", _cmd_verify, "check the closed forms against simulation")
-    p.add_argument("--paths", type=_count(100), default=100_000)
+    p.add_argument("--paths", type=_count(100), default=None,
+                   help="Monte-Carlo paths (default: the config's solver.n_paths)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n-steps", type=_count(1), default=48)
     p.add_argument("--n-random", type=_count(0), default=1000)

@@ -66,11 +66,9 @@ class DeviationDistribution:
     kind: str
     mad: float
     theta: float | None = None
-    samples: np.ndarray | None = field(default=None, repr=False)
-    # Discrete machinery: atom locations (ascending), masses, and padded
-    # prefix sums so the piecewise-linear scdf is one binary search.
+    # Discrete machinery: atom locations (ascending) and padded prefix sums
+    # of the masses, so the piecewise-linear scdf is one binary search.
     _locs: np.ndarray | None = field(default=None, repr=False)
-    _mass: np.ndarray | None = field(default=None, repr=False)
     _cum: np.ndarray | None = field(default=None, repr=False)
     _cum_wx: np.ndarray | None = field(default=None, repr=False)
 
@@ -152,16 +150,14 @@ def _check_mad(mad: float) -> float:
     return mad
 
 
-def _discrete(kind: str, mad: float, locs, mass, samples=None) -> DeviationDistribution:
+def _discrete(kind: str, mad: float, locs, mass) -> DeviationDistribution:
     locs = np.asarray(locs, dtype=float)
     mass = np.asarray(mass, dtype=float)
     keep = mass > 0.0
     locs, mass = locs[keep], mass[keep]
     cum = np.concatenate(([0.0], np.cumsum(mass)))
     cum_wx = np.concatenate(([0.0], np.cumsum(mass * locs)))
-    return DeviationDistribution(
-        kind, mad, samples=samples, _locs=locs, _mass=mass, _cum=cum, _cum_wx=cum_wx
-    )
+    return DeviationDistribution(kind, mad, _locs=locs, _cum=cum, _cum_wx=cum_wx)
 
 
 def logistic(mad: float) -> DeviationDistribution:
@@ -201,10 +197,9 @@ def empirical(samples) -> DeviationDistribution:
     mad = float(np.mean(np.abs(arr)))
     if mad == 0.0:
         raise DegenerateSignalError("all deviations are zero; nothing to model")
-    sym = np.sort(np.concatenate((arr, -arr)))
-    locs, counts = np.unique(sym, return_counts=True)
-    mass = counts / float(sym.size)
-    return _discrete("empirical", mad, locs, mass, samples=sym)
+    locs, counts = np.unique(np.concatenate((arr, -arr)), return_counts=True)
+    mass = counts / (2.0 * arr.size)
+    return _discrete("empirical", mad, locs, mass)
 
 
 def build_distribution(kind: str, mad: float | None = None, samples=None) -> DeviationDistribution:

@@ -16,7 +16,7 @@ import numpy as np
 from .distributions import DeviationDistribution
 from .errors import AssumptionError, InfeasibleProblemError
 from .purchase import EfficiencyPair, PurchaseContext, purchase_power
-from .rootfind import bisect_root
+from .rootfind import bisect_threshold
 
 __all__ = [
     "BatterySpec",
@@ -134,6 +134,12 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
                      ctx: PurchaseContext) -> float:
     """Largest deliverable bid.
 
+    Returns the crossing of the band's edges when the purchase lies inside
+    the band there.  Otherwise one bisection runs from the crossing toward
+    zero and returns the feasible end of its final one-ulp bracket, so the
+    purchase lies inside the band at the returned bid exactly, not only to
+    rounding.
+
     Raises
     ------
     AssumptionError
@@ -143,8 +149,8 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
         If even the zero bid cannot hold the drift target.
 
     Warns when the deviation law's mean absolute deviation exceeds the
-    activation ratio; the crossing bound is then not guaranteed, though the
-    bisection still reports the first band exit.
+    activation ratio; deliverability margins may then be optimistic, though
+    the returned bid still keeps the purchase inside the band.
     """
     if ctx.eff.roundtrip <= 1.0 / 3.0:
         raise AssumptionError(
@@ -174,20 +180,14 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
     if crossing <= 0.0:
         return 0.0
 
-    def upper_gap(x: float) -> float:
-        return envelopes(x, bat, con)[1] - purchase_power(x, ctx)
+    def gap(x: float) -> float:
+        """Distance of the purchase inside the band; negative outside it."""
+        lower, upper = envelopes(x, bat, con)
+        purchase = purchase_power(x, ctx)
+        return min(upper - purchase, purchase - lower)
 
-    def lower_gap(x: float) -> float:
-        return purchase_power(x, ctx) - envelopes(x, bat, con)[0]
-
-    gap_u = upper_gap(crossing)
-    gap_l = lower_gap(crossing)
-    exits = []
-    if gap_u <= 0.0:
-        exits.append(bisect_root(upper_gap, 0.0, crossing, f_hi=gap_u))
-    if gap_l <= 0.0:
-        exits.append(bisect_root(lower_gap, 0.0, crossing, f_hi=gap_l))
-    if not exits:
-        # the band closes exactly on the purchase curve
+    # The edges meet at the crossing, so only one of them can lie on the wrong
+    # side of the purchase there; both distances fall as the bid grows.
+    if gap(crossing) >= 0.0:
         return crossing
-    return min(exits)
+    return bisect_threshold(lambda x: gap(x) >= 0.0, crossing, 0.0)

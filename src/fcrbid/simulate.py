@@ -145,8 +145,9 @@ def integrate_soc(xb: float, xr: float, traj: Trajectory,
 
 def _aligned_steps(con: RegulationContract, target: int) -> int:
     """Smallest step count >= target at which the budget is a whole number
-    of steps."""
-    ratio = Fraction(con.budget_h / con.horizon_h).limit_denominator(4096)
+    of steps, if its share of the horizon is a fraction with denominator at
+    most 512.  The count stays below target + 512."""
+    ratio = Fraction(con.budget_h / con.horizon_h).limit_denominator(512)
     q = ratio.denominator
     return ((target + q - 1) // q) * q
 
@@ -156,17 +157,17 @@ def worst_case_signals(con: RegulationContract,
     """The two extreme members of the uncertainty set: full positive
     deviation for exactly the budget, then zero; and its negation.
 
-    The grid must resolve the budget exactly (a whole number of steps).
+    When the budget is not a whole number of steps, the step in which it
+    runs out carries the fraction of the budget that is left.
     """
     dt = con.horizon_h / n_steps
-    k_float = con.budget_h / dt
-    k = round(k_float)
-    if abs(k_float - k) > 1e-6:
-        raise ValueError(
-            "budget is not a whole number of steps at this resolution; "
-            "pick n_steps as a multiple of horizon_h/budget_h"
-        )
+    steps = con.budget_h / dt
+    k = round(steps)
     up = np.zeros(n_steps)
+    if abs(steps - k) > 1e-6:
+        # The budget runs out inside step k, which gets the fraction left.
+        k = math.floor(steps)
+        up[k] = steps - k
     up[:k] = 1.0
     return Trajectory(up, dt), Trajectory(-up, dt)
 
@@ -244,11 +245,12 @@ class FeasibilityReport:
 
     ``attained`` maps each worst-case quantity to its closed-form value and
     the value reached by the matching extreme signal; the two agree up to
-    roundoff when the reduction is tight.  ``sampled_max_violation`` is the
-    largest pathwise bound violation over all ``n_signals`` checked signals:
-    the two extreme ones plus random members of the uncertainty set, iid
-    uniform on [-1, 1] per step, scaled to the budget and drawn in one
-    stream from the seed.
+    roundoff when the reduction is tight.  On a grid that cannot resolve the
+    budget (not a whole number of steps) the pathwise value may fall short
+    of the closed form.  ``sampled_max_violation`` is the largest pathwise
+    bound violation over all ``n_signals`` checked signals: the two extreme
+    ones plus random members of the uncertainty set, iid uniform on [-1, 1]
+    per step, scaled to the budget and drawn in one stream from the seed.
     """
 
     checks: tuple[ConstraintCheck, ...]
@@ -286,6 +288,12 @@ def check_robust_feasibility(xb: float, xr: float, bat: BatterySpec,
     drawn in one stream from ``seed``, each scaled down where its activation
     sum |v| * dt exceeds the budget.  The signals are swept as row blocks
     of one array, at most about SWEEP_BLOCK elements at a time.
+
+    By default the grid has fewer than 1024 steps and resolves the budget
+    when its share of the horizon is a fraction with denominator at most
+    512.  On a grid that cannot resolve the budget, the extreme signals
+    spend its last fraction of a step at part deviation, so a pathwise
+    attained level may fall short of its closed form.
     """
     if xr < 0.0:
         raise ValueError("regulation power must be nonnegative")

@@ -467,6 +467,26 @@ def test_verify_passes_and_is_deterministic(config, capsys):
     assert out2 == out
 
 
+def test_verify_passes_on_a_budget_the_grid_cannot_resolve(config, capsys):
+    doc = base_doc()
+    doc["contract"]["budget_h"] = 2.40007
+    code, out, err = run(capsys, "verify", "--config", config(doc), "--paths", "2000",
+                         "--n-steps", "24", "--n-random", "50", "--seed", "4")
+    assert code == 0 and err == ""
+    assert json.loads(out)["robust_feasibility"]["ok"] is True
+
+
+def test_verify_reads_the_path_count_from_the_config(config, capsys):
+    doc = base_doc()
+    doc["solver"] = {"n_paths": 200}
+    cfg = config(doc)
+    flags = ("--n-steps", "24", "--n-random", "50", "--seed", "4")
+    reports = [json.loads(run(capsys, "verify", "--config", cfg, *extra, *flags)[1])
+               for extra in ((), ("--paths", "200"))]
+    half_widths = [r["expected_terminal_soc"]["mc_half_width_kwh"] for r in reports]
+    assert half_widths[0] == half_widths[1]
+
+
 # ---------------------------------------------------------------------------
 # errors and plumbing
 

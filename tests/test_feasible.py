@@ -11,11 +11,15 @@ from fcrbid import (
     RegulationContract,
     analytic_bid,
     context_for,
+    empirical,
     envelope_crossing,
     envelopes,
     logistic,
     max_feasible_bid,
+    purchase_power,
     purchase_power_many,
+    three_point_upper,
+    two_point_lower,
 )
 
 import oracles
@@ -220,3 +224,33 @@ def test_max_bid_random_instances():
         probe = xmax + max(1e-6, 0.05 * xmax)
         lo_p, hi_p = envelopes(probe, bat, con)
         assert min(hi_p - ctx.slope * probe, ctx.slope * probe - lo_p) < 0.0
+
+
+@pytest.mark.filterwarnings("ignore:mean absolute deviation exceeds")
+def test_max_bid_is_exactly_deliverable():
+    """At the returned bid the purchase lies inside the band in floating
+    point, not just to rounding: 1200 random problems over the four laws and
+    balanced, charging and discharging targets."""
+    rng = np.random.default_rng(2023)
+    laws = (
+        logistic,
+        two_point_lower,
+        three_point_upper,
+        lambda mad: empirical(np.clip(rng.normal(0.0, mad, 40), -1.0, 1.0)),
+    )
+    for i in range(1200):
+        cap = float(rng.uniform(20.0, 200.0))
+        y0 = float(rng.uniform(0.2, 0.8)) * cap
+        target = (y0, y0 + float(rng.uniform(0.0, 0.3)) * (cap - y0),
+                  y0 - float(rng.uniform(0.0, 0.3)) * y0)[i // 4 % 3]
+        eff = EfficiencyPair(float(rng.uniform(0.7, 1.0)),
+                             float(rng.uniform(0.7, 1.0)))
+        bat = BatterySpec(cap, float(rng.uniform(0.05, 0.5)) * cap,
+                          float(rng.uniform(0.05, 0.5)) * cap, y0, target, eff)
+        horizon = float(rng.choice([4.0, 6.0, 12.0, 24.0]))
+        con = RegulationContract(horizon, float(rng.uniform(0.05, 0.5)) * horizon)
+        ctx = context_for(bat, con, laws[i % 4](float(rng.uniform(0.02, 0.6))))
+        xmax = max_feasible_bid(bat, con, ctx)
+        lower, upper = envelopes(xmax, bat, con)
+        purchase = purchase_power(xmax, ctx)
+        assert min(upper - purchase, purchase - lower) >= 0.0, (i, xmax)

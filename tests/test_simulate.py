@@ -136,10 +136,12 @@ def test_worst_case_signals():
     assert up.budget_h == 6.0
 
 
-def test_worst_case_signals_need_alignment():
+def test_worst_case_signals_split_the_crossing_step():
     con = RegulationContract(24.0, 2.5)
-    with pytest.raises(ValueError, match="whole number of steps"):
-        worst_case_signals(con, 24)
+    up, down = worst_case_signals(con, 24)
+    np.testing.assert_array_equal(up.values, [1.0, 1.0, 0.5] + [0.0] * 21)
+    np.testing.assert_array_equal(down.values, -up.values)
+    assert up.budget_h == 2.5
     up, _ = worst_case_signals(con, 48)
     assert up.budget_h == 2.5
 
