@@ -455,14 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xb", type=float, default=None,
                    help="purchase in kW (default: implied by the bid)")
     p.add_argument("--n-steps", type=_count(1), default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--no-cap", action="store_true", help="skip budget capping")
     p.add_argument("--trajectory-out", help="also write the trajectory CSV here")
 
     p = add("verify", _cmd_verify, "check the closed forms against simulation")
     p.add_argument("--paths", type=_count(100), default=None,
                    help="Monte-Carlo paths (default: the config's solver.n_paths)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--n-steps", type=_count(1), default=48)
     p.add_argument("--n-random", type=_count(0), default=1000)
 

@@ -64,7 +64,8 @@ def _num(sec: dict, key: str, path: str, default=_MISSING) -> float:
     return float(value)
 
 
-def _int(sec: dict, key: str, path: str, default=_MISSING) -> int:
+def _int(sec: dict, key: str, path: str, floor: int, default=_MISSING) -> int:
+    """An integer field of at least ``floor``."""
     if key not in sec:
         if default is _MISSING:
             raise ConfigError(f"{path}.{key}: missing required field")
@@ -72,6 +73,8 @@ def _int(sec: dict, key: str, path: str, default=_MISSING) -> int:
     value = sec[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}.{key}: expected an integer")
+    if value < floor:
+        raise ConfigError(f"{path}.{key}: must be at least {floor}, got {value}")
     return value
 
 
@@ -196,12 +199,9 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ProblemConfig:
         contract=_contract(_object(doc, "contract")),
         prices=_prices(_object(doc, "prices")),
         distribution=_distribution(_object(doc, "distribution"), base_dir),
-        seed=_int(solver_sec, "seed", "solver", 0),
-        n_steps=(
-            _int(solver_sec, "n_steps", "solver")
-            if "n_steps" in solver_sec else None
-        ),
-        n_paths=_int(solver_sec, "n_paths", "solver", 100_000),
+        seed=_int(solver_sec, "seed", "solver", 0, 0),
+        n_steps=_int(solver_sec, "n_steps", "solver", 1, None),
+        n_paths=_int(solver_sec, "n_paths", "solver", 100, 100_000),
         investment=_investment(inv_sec) if inv_sec is not None else None,
         charger_kw_per_kwh=charger,
     )

@@ -8,6 +8,7 @@ falls with the bid, so the deliverable set is an interval [0, max_bid].
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -15,8 +16,8 @@ import numpy as np
 
 from .distributions import DeviationDistribution
 from .errors import AssumptionError, InfeasibleProblemError
-from .purchase import EfficiencyPair, PurchaseContext, purchase_power
-from .rootfind import bisect_threshold
+from .purchase import EfficiencyPair, PurchaseContext, _unit_bid, purchase_power
+from .rootfind import bisect_threshold, expand_until, threshold_via
 
 __all__ = [
     "BatterySpec",
@@ -87,22 +88,21 @@ def envelopes(xr, bat: BatterySpec, con: RegulationContract):
     The lower edge is strictly increasing in the bid, the upper edge
     strictly decreasing.  Accepts floats or arrays.
     """
-    scalar = np.ndim(xr) == 0
-    x = np.asarray(xr, dtype=float)
+    scalar = isinstance(xr, (int, float))
+    x = float(xr) if scalar else np.asarray(xr, dtype=float)
+    larger, smaller = (max, min) if scalar else (np.maximum, np.minimum)
     eta_p, eta_m = bat.eff.eta_plus, bat.eff.eta_minus
     horizon, budget = con.horizon_h, con.budget_h
     q = con.activation
     y0, head = bat.soc0_kwh, bat.headroom_kwh
-    lower = np.maximum(
+    lower = larger(
         x - min(bat.discharge_cap_kw, eta_m * y0 / budget),
         q * x - eta_m * y0 / horizon,
     )
-    upper = np.minimum(
+    upper = smaller(
         min(bat.charge_cap_kw, head / (eta_p * budget)) - x,
         head / (eta_p * horizon) - q * x,
     )
-    if scalar:
-        return float(lower), float(upper)
     return lower, upper
 
 
@@ -136,9 +136,11 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
 
     Returns the crossing of the band's edges when the purchase lies inside
     the band there.  Otherwise one bisection runs from the crossing toward
-    zero and returns the feasible end of its final one-ulp bracket, so the
-    purchase lies inside the band at the returned bid exactly, not only to
-    rounding.
+    zero: in the bid for a balanced target, else in the purchase per unit of
+    bid u, from the crossing's u to the first of +-1, +-2, +-4, ... at which
+    the band holds, one law evaluation per probe.  The purchase of
+    :func:`purchase_power` lies inside the band at the returned bid exactly,
+    not only to rounding.
 
     Raises
     ------
@@ -180,14 +182,23 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
     if crossing <= 0.0:
         return 0.0
 
-    def gap(x: float) -> float:
-        """Distance of the purchase inside the band; negative outside it."""
+    def delivers(x: float, purchase: float | None = None) -> bool:
+        """Whether the purchase (by default purchase_power's) lies in the band at bid x."""
         lower, upper = envelopes(x, bat, con)
-        purchase = purchase_power(x, ctx)
-        return min(upper - purchase, purchase - lower)
+        return lower <= (purchase_power(x, ctx) if purchase is None else purchase) <= upper
 
     # The edges meet at the crossing, so only one of them can lie on the wrong
     # side of the purchase there; both distances fall as the bid grows.
-    if gap(crossing) >= 0.0:
+    at_crossing = purchase_power(crossing, ctx)
+    if delivers(crossing, at_crossing):
         return crossing
-    return bisect_threshold(lambda x: gap(x) >= 0.0, crossing, 0.0)
+    if ctx.drift_target == 0.0:
+        return bisect_threshold(delivers, crossing, 0.0)[1]
+
+    def at_unit(u: float) -> bool:
+        return delivers(*_unit_bid(u, ctx)[:2])
+
+    # No far end: the band closes within 2**-200 drift_target of zero bid.
+    far = expand_until(at_unit, math.copysign(1.0, ctx.drift_target))
+    return 0.0 if far is None else threshold_via(
+        at_unit, at_crossing / crossing, far, lambda u: _unit_bid(u, ctx)[0], delivers, 0.0)

@@ -16,9 +16,10 @@ This module evaluates that coupling:
   deviation.
 
 The rate is 1-homogeneous in (purchase, bid): rate(xb, xr) = xr * g(xb / xr)
-with g(u) = eta_plus * u - drain * scdf(-u), strictly increasing in u.  The
-slope, the purchase curve and the one-sided purchase slopes all come from
-one Newton inverse of g.
+with g(u) = eta_plus * u - drain * scdf(-u), strictly increasing in u.  At a
+given bid the purchase and its one-sided slopes come from one Newton inverse
+of g.  The bid searches go the other way: at a purchase per unit of bid u the
+bid drift_target / g(u), the purchase bid * u and the slopes are explicit.
 
 Powers are in kW, energies in kWh; deviations are normalised to [-1, 1].
 """
@@ -237,16 +238,27 @@ def purchase_slopes(xr: float, ctx: PurchaseContext) -> tuple[float, float]:
     if xr == 0.0:
         s = ctx.slope if ctx.drift_target == 0.0 else 0.0
         return s, s
-    z = -float(_inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist))
-    f_left, f_right = ctx.dist.cdf_pair(z)
-    phi = ctx.dist.scdf(z)
+    u = float(_inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist))
+    return _unit_point(u, ctx)[2:]
+
+
+def _unit_bid(u: float, ctx: PurchaseContext) -> tuple[float, float, float]:
+    """Bid, purchase and scdf(-u) at purchase per unit of bid ``u`` (unbalanced target)."""
+    phi = ctx.dist.scdf(-u)
+    rate = ctx.eff.eta_plus * u - ctx.eff.drain * phi
+    # g vanishes only at the balanced root, where no bid is defined.
+    xr = ctx.drift_target / rate if rate != 0.0 else float("inf")
+    return xr, xr * u, phi
+
+
+def _unit_point(u: float, ctx: PurchaseContext) -> tuple[float, float, float, float]:
+    """:func:`_unit_bid`'s bid and purchase, and the one-sided purchase slopes (left, right)."""
+    xr, xb, phi = _unit_bid(u, ctx)
+    f_left, f_right = ctx.dist.cdf_pair(-u)
     eta_p, drain = ctx.eff.eta_plus, ctx.eff.drain
-
-    def slope_at(f: float) -> float:
-        return drain * (phi - z * f) / (eta_p + drain * f)
-
-    s1, s2 = slope_at(f_left), slope_at(f_right)
-    return (s1, s2) if s1 <= s2 else (s2, s1)
+    s1 = drain * (phi + u * f_left) / (eta_p + drain * f_left)
+    s2 = drain * (phi + u * f_right) / (eta_p + drain * f_right)
+    return xr, xb, min(s1, s2), max(s1, s2)
 
 
 def purchase_bounds(xr, ctx: PurchaseContext):

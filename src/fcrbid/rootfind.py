@@ -1,21 +1,19 @@
-"""Scalar bisection helper.
-
-:func:`bisect_threshold` serves both bid searches: the largest deliverable
-bid in ``max_feasible_bid`` and the solver's stationary candidate.  It runs
-until the bracket collapses to adjacent floats (at most 200 halvings), which
-keeps every result exactly covariant under power-of-two rescaling of the
-inputs: the midpoint of a scaled bracket is the scaled midpoint, bit for bit.
+"""Bisection helpers for the two bid searches (largest deliverable bid and
+stationary candidate).  Bisection runs until the bracket collapses to
+adjacent floats (at most 200 halvings), which keeps every result exactly
+covariant under power-of-two rescaling of the inputs.
 """
+
+import math
 
 BISECT_MAX_ITER = 200
 
 
 def bisect_threshold(pred, lo, hi):
-    """End of the final one-ulp bracket at which a monotone predicate holds.
+    """Final one-ulp bracket (lo, hi) of a monotone predicate.
 
     ``pred`` must be false at ``lo``, true at ``hi`` and switch once between
-    them; ``lo`` may lie above ``hi``.  Returns the ``hi`` end of the final
-    bracket, so the predicate holds at the returned point.
+    them; ``lo`` may lie above ``hi``.
     """
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -25,4 +23,24 @@ def bisect_threshold(pred, lo, hi):
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
+
+
+def expand_until(pred, x):
+    """First of x, 2x, 4x, ... at which ``pred`` holds; None if 200 doublings fail."""
+    for _ in range(BISECT_MAX_ITER):
+        if pred(x):
+            return x
+        x *= 2.0
+    return None
+
+
+def threshold_via(pred_u, lo, hi, to_x, pred_x, toward):
+    """Threshold of ``pred_x``: bisect ``pred_u`` over (lo, hi) in u, then ``pred_x``
+    between the images x = to_x(u) of the final bracket (one float of u may
+    span many of x), then step x toward ``toward`` while rounding fails ``pred_x``."""
+    lo, hi = bisect_threshold(pred_u, lo, hi)
+    x = bisect_threshold(pred_x, to_x(lo), to_x(hi))[1]
+    while not pred_x(x):
+        x = math.nextafter(x, toward)
+    return x

@@ -8,7 +8,8 @@ with the purchase tied to the bid through the drift target.  The cost is
 convex in the bid, so the optimum is one of three candidates: zero, the
 largest deliverable bid, or the smallest stationary point where the price
 ratio enters the purchase curve's subdifferential.  Ties break toward the
-smaller bid.
+smaller bid.  For an unbalanced target the stationary point is searched in
+the purchase per unit of bid u, where bid, purchase and slopes are explicit.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import asdict, dataclass
 from .distributions import DeviationDistribution
 from .errors import AssumptionError, TargetMismatchError
 from .feasible import BatterySpec, RegulationContract, context_for, max_feasible_bid
-from .purchase import PurchaseContext, purchase_power, purchase_slopes
-from .rootfind import bisect_threshold
+from .purchase import PurchaseContext, _unit_bid, _unit_point, purchase_power, purchase_slopes
+from .rootfind import bisect_threshold, expand_until, threshold_via
 
 __all__ = [
     "MarketPrices",
@@ -95,21 +96,32 @@ def _solve_with_ratio(bat: BatterySpec, con: RegulationContract,
                       ctx: PurchaseContext, ratio_at) -> tuple[float, str, float]:
     """Shared three-candidate selection.
 
-    ``ratio_at(xr)`` returns the marginal bid revenue over the marginal
-    purchase price at ``xr``; for fixed prices it is constant.  The
-    optimum is the smallest bid whose right slope reaches the ratio, or a
-    boundary candidate.
+    ``ratio_at(xr, xb)`` returns the marginal bid revenue over the marginal
+    purchase price at bid ``xr`` with purchase ``xb``; for fixed prices it
+    is constant.  The optimum is the smallest bid whose right slope reaches
+    the ratio, or a boundary candidate.
     """
     xr_max = max_feasible_bid(bat, con, ctx)
-    if xr_max <= 0.0:
+    if xr_max <= 0.0 or purchase_slopes(0.0, ctx)[1] >= ratio_at(0.0, ctx.base_purchase):
         return 0.0, "zero", xr_max
-    if purchase_slopes(0.0, ctx)[1] >= ratio_at(0.0):
-        return 0.0, "zero", xr_max
-    if purchase_slopes(xr_max, ctx)[0] < ratio_at(xr_max):
+    xb_max = purchase_power(xr_max, ctx)
+    if purchase_slopes(xr_max, ctx)[0] < ratio_at(xr_max, xb_max):
         return xr_max, "boundary", xr_max
-    xr = bisect_threshold(
-        lambda x: purchase_slopes(x, ctx)[1] >= ratio_at(x), 0.0, xr_max
-    )
+
+    def reaches(x: float) -> bool:
+        return purchase_slopes(x, ctx)[1] >= ratio_at(x, purchase_power(x, ctx))
+
+    if ctx.drift_target == 0.0:
+        return bisect_threshold(reaches, 0.0, xr_max)[1], "stationary", xr_max
+
+    def reaches_at_unit(u: float) -> bool:
+        x, xb, _, right = _unit_point(u, ctx)
+        return right >= ratio_at(x, xb)
+
+    # Toward zero bid |u| grows and the right slope vanishes below the ratio.
+    far = expand_until(lambda u: not reaches_at_unit(u), math.copysign(1.0, ctx.drift_target))
+    xr = threshold_via(reaches_at_unit, far, xb_max / xr_max,
+                       lambda u: min(_unit_bid(u, ctx)[0], xr_max), reaches, xr_max)
     return xr, "stationary", xr_max
 
 
@@ -128,10 +140,9 @@ def solve(bat: BatterySpec, con: RegulationContract,
         raise AssumptionError("energy price elasticity turns the net cost non-convex "
                               "at the base purchase")
 
-    def ratio_at(xr: float) -> float:
+    def ratio_at(xr: float, xb: float) -> float:
         margin = ca0 - 2.0 * cad * xr
-        # At zero slope the level is cb0; skipping the purchase saves its law evaluations.
-        level = cb0 + 2.0 * cbd * purchase_power(xr, ctx) if cbd != 0.0 else cb0
+        level = cb0 + 2.0 * cbd * xb
         if level <= 0.0:
             return float("inf") if margin > 0.0 else float("-inf")
         return margin / level
@@ -140,7 +151,8 @@ def solve(bat: BatterySpec, con: RegulationContract,
     xb = purchase_power(xr, ctx)
     objective = con.horizon_h * (cb0 * xb + cbd * xb * xb - ca0 * xr + cad * xr * xr)
     # A zero marginal energy price leaves the ratio unbounded; JSON has no infinity.
-    at_zero, at_xr = (r if math.isfinite(r) else None for r in (ratio_at(0.0), ratio_at(xr)))
+    at_zero, at_xr = (r if math.isfinite(r) else None
+                      for r in (ratio_at(0.0, ctx.base_purchase), ratio_at(xr, xb)))
     return BidSolution(
         xr, xb, objective, candidate, xr_max, ctx.slope,
         {

@@ -532,6 +532,19 @@ def test_field_error_names_its_path_once(config, capsys, section, key,
     assert err == f"error: {section}.{key}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
+@pytest.mark.parametrize("key,value,floor", [("n_paths", 50, 100), ("seed", -1, 0),
+                                             ("n_steps", 0, 1)])
+def test_solver_count_below_its_floor_exits_2(config, capsys, command, key, value,
+                                              floor):
+    doc = base_doc()
+    doc["solver"] = {key: value}
+    code, out, err = run(capsys, command, "--config", config(doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: solver.{key}: must be at least {floor}, got {value}\n"
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -571,6 +584,8 @@ def test_infeasible_problem_exits_3(config, capsys):
     ("verify", "--n-random", "-3", "--paths", "2000", "--n-steps", "24"),
     ("verify", "--paths", "99"),
     ("verify", "--paths", "1e5"),
+    ("simulate", "--seed", "-1"),
+    ("verify", "--seed", "-2"),
 ])
 def test_bad_count_flag_exits_2(config, capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -404,7 +404,8 @@ def count_scdf_calls(monkeypatch):
 @pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
 def test_inversion_work_is_bounded(law, monkeypatch):
     """The slope and each purchase take a handful of law evaluations, and an
-    unbalanced solve of the README battery stays within a thousand."""
+    unbalanced solve of the README battery, charging or discharging, stays
+    within 200 whichever candidate wins."""
     calls = count_scdf_calls(monkeypatch)
     eff = EfficiencyPair(0.9, 0.8)
     asymptotic_slope(eff, law)
@@ -415,12 +416,13 @@ def test_inversion_work_is_bounded(law, monkeypatch):
             calls.clear()
             purchase_power(xr, ctx)
             assert 0 < len(calls) <= 10
-    bat = BatterySpec(60.0, 18.0, 15.0, 20.0, 26.0, eff)
     con = RegulationContract(horizon_h=12.0, budget_h=2.4)
-    for cr in (0.9, 0.2):
-        calls.clear()
-        solve_inelastic(bat, con, MarketPrices(cb=5.1, cr=cr), law)
-        assert len(calls) <= 1000
+    for target in (26.0, 14.0):
+        bat = BatterySpec(60.0, 18.0, 15.0, 20.0, target, eff)
+        for cr in (0.9, 0.2, 0.05):
+            calls.clear()
+            solve_inelastic(bat, con, MarketPrices(cb=5.1, cr=cr), law)
+            assert len(calls) <= 200
 
 
 def test_purchase_at_large_bids_with_a_small_target():

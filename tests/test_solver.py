@@ -14,7 +14,10 @@ from fcrbid import (
     analytic_bid,
     asymptotic_slope,
     context_for,
+    empirical,
     energy_constrained_optimum,
+    envelope_crossing,
+    envelopes,
     logistic,
     max_feasible_bid,
     purchase_power,
@@ -24,8 +27,10 @@ from fcrbid import (
     solve,
     solve_elastic,
     solve_inelastic,
+    three_point_upper,
     two_point_lower,
 )
+from fcrbid.rootfind import bisect_threshold
 from fcrbid.solver import _solve_with_ratio
 
 import oracles
@@ -210,10 +215,10 @@ def test_elastic_with_zero_elasticities_matches_inelastic_bitwise(monkeypatch):
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
         # A constant ratio: the solve costs the context, the selection and
-        # the purchase at the bid, and no purchase inside the selection.
+        # the purchase at the bid, and nothing more.
         calls.clear()
         ctx = context_for(bat, con, d)
-        xr = _solve_with_ratio(bat, con, ctx, lambda _x: cr / 1.3)[0]
+        xr = _solve_with_ratio(bat, con, ctx, lambda _x, _xb: cr / 1.3)[0]
         purchase_power(xr, ctx)
         assert (xr, len(calls)) == (sol.xr_kw, runs[0][1])
         candidates.add(sol.candidate)
@@ -275,6 +280,97 @@ def test_solve_scale_covariance():
     assert math.isclose(sol3.xr_kw, 3.0 * sol1.xr_kw, rel_tol=1e-12)
     assert math.isclose(sol3.objective_cts, 3.0 * sol1.objective_cts,
                         rel_tol=1e-12)
+
+
+def _x_space_solve(bat, con, prices, d):
+    """Reference: both bid searches bisect the bid itself, with every probe
+    evaluated through purchase_power and purchase_slopes."""
+    ctx = context_for(bat, con, d)
+    cb0, cbd, ca0, cad = prices.coefficients
+
+    def delivers(x):
+        lower, upper = envelopes(x, bat, con)
+        return lower <= purchase_power(x, ctx) <= upper
+
+    def ratio(x):
+        return (ca0 - 2.0 * cad * x) / (cb0 + 2.0 * cbd * purchase_power(x, ctx))
+
+    crossing = envelope_crossing(bat, con)
+    xr_max = crossing if delivers(crossing) else bisect_threshold(delivers, crossing, 0.0)[1]
+    if purchase_slopes(0.0, ctx)[1] >= ratio(0.0):
+        xr, candidate = 0.0, "zero"
+    elif purchase_slopes(xr_max, ctx)[0] < ratio(xr_max):
+        xr, candidate = xr_max, "boundary"
+    else:
+        xr = bisect_threshold(lambda x: purchase_slopes(x, ctx)[1] >= ratio(x), 0.0, xr_max)[1]
+        candidate = "stationary"
+    xb = purchase_power(xr, ctx)
+    terms = (cb0 * xb, cbd * xb * xb, -ca0 * xr, cad * xr * xr)
+    return xr, candidate, xr_max, con.horizon_h * sum(terms), con.horizon_h * sum(map(abs, terms))
+
+
+@pytest.mark.filterwarnings("ignore:mean absolute deviation exceeds")
+def test_unit_searches_match_the_bid_space_reference():
+    """Searching the purchase per unit of bid gives the reference's candidate,
+    bids and objective, over the four laws, targets above and below the
+    initial state, and fixed and affine prices; at a stationary bid the
+    predicate holds as purchase_slopes evaluates it."""
+    rng = np.random.default_rng(606)
+    laws = (logistic, two_point_lower, three_point_upper,
+            lambda mad: empirical(np.clip(rng.normal(0.0, mad, 30), -1.0, 1.0)))
+    con = RegulationContract(12.0, 2.4)
+    candidates = set()
+    for i in range(160):
+        y0 = float(rng.uniform(15.0, 45.0))
+        target = y0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.5, 10.0))
+        eff = EfficiencyPair(float(rng.uniform(0.8, 0.98)), float(rng.uniform(0.8, 0.98)))
+        bat = BatterySpec(60.0, 18.0, 15.0, y0, target, eff)
+        d = laws[i % 4](float(rng.uniform(0.05, 0.4)))
+        ratio = asymptotic_slope(eff, d) * float(rng.uniform(0.02, 1.5))
+        if i % 8 < 4:
+            prices = MarketPrices(cb=2.0, cr=2.0 * ratio)
+        else:
+            prices = MarketPrices(mode="elastic", cb0=2.0, cbd=float(rng.uniform(0.0, 0.02)),
+                                  ca0=2.0 * ratio, cad=float(rng.uniform(0.0, 0.001)))
+        try:
+            sol = solve(bat, con, prices, d)
+        except InfeasibleProblemError:
+            continue
+        xr, candidate, xr_max, objective, scale = _x_space_solve(bat, con, prices, d)
+        assert sol.candidate == candidate, i
+        assert math.isclose(sol.xr_max_kw, xr_max, rel_tol=1e-12), i
+        assert math.isclose(sol.xr_kw, xr, rel_tol=1e-12), i
+        # The objective is a difference of terms; compare it at their scale.
+        assert abs(sol.objective_cts - objective) <= 1e-12 * scale, i
+        if candidate == "stationary":
+            ctx = context_for(bat, con, d)
+            cb0, cbd, ca0, cad = prices.coefficients
+            level = cb0 + 2.0 * cbd * purchase_power(sol.xr_kw, ctx)
+            assert purchase_slopes(sol.xr_kw, ctx)[1] >= (ca0 - 2.0 * cad * sol.xr_kw) / level
+        candidates.add(candidate)
+    assert candidates == {"boundary", "stationary"}
+
+
+@pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
+def test_unbalanced_solves_are_scale_covariant(law):
+    """Halving or doubling every battery quantity scales the bid, purchase and
+    objective bit for bit, for boundary and stationary solves charging and
+    discharging."""
+    con = RegulationContract(12.0, 2.4)
+    eff = EfficiencyPair(0.9, 0.8)
+    candidates = set()
+    for target in (26.0, 14.0):
+        for cr in (0.9, 0.05, 0.02):
+            prices = MarketPrices(cb=5.1, cr=cr)
+            sols = [solve(BatterySpec(60.0 * k, 18.0 * k, 15.0 * k, 20.0 * k, target * k, eff),
+                          con, prices, law) for k in (1.0, 0.5, 2.0)]
+            for k, sol in zip((0.5, 2.0), sols[1:]):
+                assert sol.candidate == sols[0].candidate
+                assert (sol.xr_kw, sol.xb_kw, sol.objective_cts, sol.xr_max_kw) == (
+                    k * sols[0].xr_kw, k * sols[0].xb_kw, k * sols[0].objective_cts,
+                    k * sols[0].xr_max_kw)
+            candidates.add(sols[0].candidate)
+    assert {"boundary", "stationary"} <= candidates
 
 
 def test_analytic_bid_hand_instance():
