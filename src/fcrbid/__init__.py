@@ -39,6 +39,7 @@ from .errors import (
 from .feasible import (
     BatterySpec,
     RegulationContract,
+    analytic_bid,
     context_for,
     envelope_crossing,
     envelopes,
@@ -80,7 +81,6 @@ from .simulate import (
 from .solver import (
     BidSolution,
     MarketPrices,
-    analytic_bid,
     solve,
     solve_elastic,
     solve_inelastic,
@@ -113,6 +113,7 @@ __all__ = [
     "context_for",
     "envelopes",
     "envelope_crossing",
+    "analytic_bid",
     "max_feasible_bid",
     # solver
     "MarketPrices",
@@ -120,7 +121,6 @@ __all__ = [
     "solve",
     "solve_inelastic",
     "solve_elastic",
-    "analytic_bid",
     # economics
     "HOURS_PER_YEAR",
     "InvestmentSpec",

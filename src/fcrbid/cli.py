@@ -37,7 +37,7 @@ from .errors import (
     SingularFitError,
     TargetMismatchError,
 )
-from .feasible import RegulationContract, context_for, envelopes, max_feasible_bid
+from .feasible import RegulationContract, analytic_bid, context_for, envelopes, max_feasible_bid
 from .ingest import (
     fit_elasticity,
     fit_logistic,
@@ -63,7 +63,7 @@ from .simulate import (
     sample_trajectory,
     write_trajectory_csv,
 )
-from .solver import analytic_bid, solve
+from .solver import solve
 from .solver import solve_elastic, solve_inelastic  # noqa: F401  traced by perfbench/layers.py
 
 __all__ = ["main"]

@@ -2,8 +2,10 @@
 
 A bid is deliverable when the purchase band admitted by the power caps and
 the worst-case energy excursions still contains the purchase required to
-hold the drift target.  The band's lower edge rises and its upper edge
-falls with the bid, so the deliverable set is an interval [0, max_bid].
+hold the drift target.  Each edge is two affine pieces of the bid, of slopes
+1 and the activation ratio; the lower edge rises and the upper falls, so the
+deliverable set is an interval [0, max_bid].  The band's crossing and a
+balanced target's largest bid are closed forms in the pieces' offsets.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DeviationDistribution
-from .errors import AssumptionError, InfeasibleProblemError
+from .errors import AssumptionError, InfeasibleProblemError, TargetMismatchError
 from .purchase import EfficiencyPair, PurchaseContext, _unit_bid, purchase_power
-from .rootfind import bisect_threshold, expand_until, threshold_via
+from .rootfind import expand_until, threshold_via
 
 __all__ = [
     "BatterySpec",
@@ -25,6 +27,7 @@ __all__ = [
     "context_for",
     "envelopes",
     "envelope_crossing",
+    "analytic_bid",
     "max_feasible_bid",
 ]
 
@@ -82,52 +85,62 @@ def context_for(bat: BatterySpec, con: RegulationContract,
     return PurchaseContext(bat.eff, dist, drift)
 
 
+def _band(bat: BatterySpec, con: RegulationContract) -> tuple[float, ...]:
+    """Offsets (l1, l2, u1, u2) and activation ratio q of the band's pieces:
+    lower = max(x - l1, q x - l2) and upper = min(u1 - x, u2 - q x)."""
+    eta_p, eta_m = bat.eff.eta_plus, bat.eff.eta_minus
+    y0, head = bat.soc0_kwh, bat.headroom_kwh
+    return (min(bat.discharge_cap_kw, eta_m * y0 / con.budget_h), eta_m * y0 / con.horizon_h,
+            min(bat.charge_cap_kw, head / (eta_p * con.budget_h)), head / (eta_p * con.horizon_h),
+            con.activation)
+
+
+def _edges(x, l1, l2, u1, u2, q, larger=max, smaller=min):
+    """Band (lower, upper) at bid ``x`` from the offsets of :func:`_band`."""
+    return larger(x - l1, q * x - l2), smaller(u1 - x, u2 - q * x)
+
+
 def envelopes(xr, bat: BatterySpec, con: RegulationContract):
     """Admissible purchase band (lower, upper) at bid ``xr``.
 
     The lower edge is strictly increasing in the bid, the upper edge
     strictly decreasing.  Accepts floats or arrays.
     """
-    scalar = isinstance(xr, (int, float))
-    x = float(xr) if scalar else np.asarray(xr, dtype=float)
-    larger, smaller = (max, min) if scalar else (np.maximum, np.minimum)
-    eta_p, eta_m = bat.eff.eta_plus, bat.eff.eta_minus
-    horizon, budget = con.horizon_h, con.budget_h
-    q = con.activation
-    y0, head = bat.soc0_kwh, bat.headroom_kwh
-    lower = larger(
-        x - min(bat.discharge_cap_kw, eta_m * y0 / budget),
-        q * x - eta_m * y0 / horizon,
-    )
-    upper = smaller(
-        min(bat.charge_cap_kw, head / (eta_p * budget)) - x,
-        head / (eta_p * horizon) - q * x,
-    )
-    return lower, upper
+    if isinstance(xr, (int, float)):
+        return _edges(float(xr), *_band(bat, con))
+    return _edges(np.asarray(xr, dtype=float), *_band(bat, con), np.maximum, np.minimum)
+
+
+def _crossing(l1, l2, u1, u2, q) -> float:
+    return min(0.5 * (l1 + u1), (l1 + u2) / (1.0 + q), (l2 + u1) / (1.0 + q), 0.5 * (l2 + u2) / q)
 
 
 def envelope_crossing(bat: BatterySpec, con: RegulationContract) -> float:
     """Bid at which the purchase band closes (lower edge meets upper edge).
 
-    Closed form: the minimum over the pairwise intersections of the band's
-    affine pieces.  Agrees with bisection of upper - lower to rounding.
+    Closed form: upper - lower is the least of the four differences of an
+    upper and a lower piece, each affine and falling, so the band closes at
+    the least of their four roots.
     """
-    eta_p, eta_m = bat.eff.eta_plus, bat.eff.eta_minus
-    a = bat.eff.roundtrip
-    horizon, budget = con.horizon_h, con.budget_h
-    y0, cap, head = bat.soc0_kwh, bat.cap_kwh, bat.headroom_kwh
-    up, dn = bat.charge_cap_kw, bat.discharge_cap_kw
-    t_over_b = horizon / budget
-    terms = (
-        0.5 * (up + dn),
-        0.5 * (up + eta_m * y0 / budget),
-        (horizon * up + eta_m * y0) / (budget + horizon),
-        0.5 * (dn + head / (eta_p * budget)),
-        (horizon * dn + head / eta_p) / (budget + horizon),
-        (cap + (a * t_over_b - 1.0) * y0) / (eta_p * (budget + horizon)),
-        (t_over_b * cap - (t_over_b - a) * y0) / (eta_p * (budget + horizon)),
-    )
-    return min(terms)
+    return _crossing(*_band(bat, con))
+
+
+def _balanced_bid(m: float, l1, l2, u1, u2, q) -> float:
+    # The purchase m x meets q x - l2 only if q > m, at l2 / (q - m) =
+    # eta_m y0 / (budget - horizon m) >= eta_m y0 / (budget (1 - m)) >=
+    # l1 / (1 - m) since horizon >= budget: that piece never binds first.
+    return min(l1 / (1.0 - m), u1 / (1.0 + m), u2 / (q + m))
+
+
+def analytic_bid(bat: BatterySpec, con: RegulationContract, slope: float) -> float:
+    """Closed-form largest deliverable bid for a balanced drift target.
+
+    Requires the state-of-charge target to equal the initial state: the
+    purchase slope * bid then leaves the band where it first meets a piece.
+    """
+    if bat.soc_target_kwh != bat.soc0_kwh:
+        raise TargetMismatchError("closed form needs soc_target_kwh == soc0_kwh")
+    return _balanced_bid(slope, *_band(bat, con))
 
 
 def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
@@ -135,12 +148,12 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
     """Largest deliverable bid.
 
     Returns the crossing of the band's edges when the purchase lies inside
-    the band there.  Otherwise one bisection runs from the crossing toward
-    zero: in the bid for a balanced target, else in the purchase per unit of
-    bid u, from the crossing's u to the first of +-1, +-2, +-4, ... at which
-    the band holds, one law evaluation per probe.  The purchase of
-    :func:`purchase_power` lies inside the band at the returned bid exactly,
-    not only to rounding.
+    the band there.  Otherwise, for a balanced target, :func:`analytic_bid`
+    stepped float by float onto the largest bid the band admits; else one
+    bisection toward zero in the purchase per unit of bid u, from the
+    crossing's u to the first of +-1, +-2, +-4, ... at which the band holds,
+    one law evaluation per probe.  The purchase of :func:`purchase_power`
+    lies inside the band at the returned bid exactly, not only to rounding.
 
     Raises
     ------
@@ -148,7 +161,8 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
         If the roundtrip efficiency is not above 1/3 (the band-crossing
         argument needs the purchase slope below the band slopes).
     InfeasibleProblemError
-        If even the zero bid cannot hold the drift target.
+        If the zero-bid purchase exceeds a power cap.  The energy edges
+        hold at zero bid for every target in [0, cap_kwh].
 
     Warns when the deviation law's mean absolute deviation exceeds the
     activation ratio; deliverability margins may then be optimistic, though
@@ -167,24 +181,20 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
             stacklevel=2,
         )
     base = ctx.base_purchase
-    low0, up0 = envelopes(0.0, bat, con)
-    if base > up0:
-        raise InfeasibleProblemError(
-            f"required purchase at zero bid ({base:.6g} kW) exceeds the "
-            f"admissible maximum ({up0:.6g} kW)"
-        )
-    if base < low0:
-        raise InfeasibleProblemError(
-            f"required purchase at zero bid ({base:.6g} kW) is below the "
-            f"admissible minimum ({low0:.6g} kW)"
-        )
-    crossing = envelope_crossing(bat, con)
+    if base > bat.charge_cap_kw:
+        raise InfeasibleProblemError(f"required purchase at zero bid ({base:.6g} kW) exceeds "
+                                     f"the admissible maximum ({bat.charge_cap_kw:.6g} kW)")
+    if base < -bat.discharge_cap_kw:
+        raise InfeasibleProblemError(f"required purchase at zero bid ({base:.6g} kW) is below "
+                                     f"the admissible minimum ({-bat.discharge_cap_kw:.6g} kW)")
+    band = _band(bat, con)
+    crossing = _crossing(*band)
     if crossing <= 0.0:
         return 0.0
 
     def delivers(x: float, purchase: float | None = None) -> bool:
         """Whether the purchase (by default purchase_power's) lies in the band at bid x."""
-        lower, upper = envelopes(x, bat, con)
+        lower, upper = _edges(x, *band)
         return lower <= (purchase_power(x, ctx) if purchase is None else purchase) <= upper
 
     # The edges meet at the crossing, so only one of them can lie on the wrong
@@ -193,7 +203,12 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
     if delivers(crossing, at_crossing):
         return crossing
     if ctx.drift_target == 0.0:
-        return bisect_threshold(delivers, crossing, 0.0)[1]
+        x = _balanced_bid(ctx.slope, *band)
+        while delivers(math.nextafter(x, math.inf)):
+            x = math.nextafter(x, math.inf)
+        while not delivers(x):
+            x = math.nextafter(x, 0.0)
+        return x
 
     def at_unit(u: float) -> bool:
         return delivers(*_unit_bid(u, ctx)[:2])

@@ -227,17 +227,18 @@ def purchase_slopes(xr: float, ctx: PurchaseContext) -> tuple[float, float]:
     """One-sided derivatives (left, right) of the purchase at bid ``xr``.
 
     Both lie in [0, slope] and the pair is nondecreasing: the purchase curve
-    is convex.  At a kink (discrete deviation law) the two differ; they are
-    computed from the one-sided CDF limits at the active deviation ratio.
-    At ``xr = 0`` both sides report the right derivative: the asymptotic
-    slope for a balanced target, zero otherwise.
+    is convex.  A balanced target's purchase slope * xr gives (slope, slope)
+    at every bid.  Otherwise both come from the one-sided CDF limits at the
+    active deviation ratio and differ at a kink (discrete deviation law); at
+    ``xr = 0`` both report the right derivative, zero.
     """
     xr = float(xr)
     if xr < 0.0:
         raise ValueError("bid must be nonnegative")
+    if ctx.drift_target == 0.0:
+        return ctx.slope, ctx.slope
     if xr == 0.0:
-        s = ctx.slope if ctx.drift_target == 0.0 else 0.0
-        return s, s
+        return 0.0, 0.0
     u = float(_inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist))
     return _unit_point(u, ctx)[2:]
 

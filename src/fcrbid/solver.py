@@ -8,8 +8,10 @@ with the purchase tied to the bid through the drift target.  The cost is
 convex in the bid, so the optimum is one of three candidates: zero, the
 largest deliverable bid, or the smallest stationary point where the price
 ratio enters the purchase curve's subdifferential.  Ties break toward the
-smaller bid.  For an unbalanced target the stationary point is searched in
-the purchase per unit of bid u, where bid, purchase and slopes are explicit.
+smaller bid.  A balanced target has both slopes equal to the asymptotic
+slope m, so fixed prices pick zero or the largest bid by m against the ratio.
+An unbalanced target's stationary point is searched in the purchase per unit
+of bid u, where bid, purchase and slopes are explicit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .distributions import DeviationDistribution
-from .errors import AssumptionError, TargetMismatchError
+from .errors import AssumptionError
 from .feasible import BatterySpec, RegulationContract, context_for, max_feasible_bid
 from .purchase import PurchaseContext, _unit_bid, _unit_point, purchase_power, purchase_slopes
 from .rootfind import bisect_threshold, expand_until, threshold_via
@@ -29,7 +31,6 @@ __all__ = [
     "solve",
     "solve_inelastic",
     "solve_elastic",
-    "analytic_bid",
 ]
 
 
@@ -130,7 +131,7 @@ def solve(bat: BatterySpec, con: RegulationContract,
     """Minimise the net cost under either price model.
 
     Fixed prices are the affine curves with zero slopes, so both models go
-    through the same candidate tests and bisection path.  Convexity of the
+    through the same candidate tests and searches.  Convexity of the
     net cost requires the energy price to stay nonnegative over the purchase
     range, i.e. base purchase >= -cb0 / (2 cbd); violated input raises.
     """
@@ -179,21 +180,3 @@ def solve_elastic(bat: BatterySpec, con: RegulationContract,
         raise ValueError("solve_elastic needs elastic prices")
     return solve(bat, con, prices, dist)
 
-
-def analytic_bid(bat: BatterySpec, con: RegulationContract, slope: float) -> float:
-    """Closed-form largest deliverable bid for a balanced drift target.
-
-    Requires the state-of-charge target to equal the initial state (the
-    purchase curve is then exactly slope * bid).
-    """
-    if bat.soc_target_kwh != bat.soc0_kwh:
-        raise TargetMismatchError(
-            "closed form needs soc_target_kwh == soc0_kwh"
-        )
-    eta_p, eta_m = bat.eff.eta_plus, bat.eff.eta_minus
-    return min(
-        bat.discharge_cap_kw / (1.0 - slope),
-        bat.charge_cap_kw / (1.0 + slope),
-        eta_m * bat.soc0_kwh / (con.budget_h * (1.0 - slope)),
-        bat.headroom_kwh / (eta_p * (con.budget_h + slope * con.horizon_h)),
-    )

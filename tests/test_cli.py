@@ -5,6 +5,7 @@ import io
 import json
 import math
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +129,29 @@ def test_solve_reports_an_unbounded_price_ratio_as_null(config, capsys):
     assert diagnostics["base_purchase_kw"] == -0.2
     assert diagnostics["price_ratio"] is None
     assert diagnostics["price_ratio_at_solution"] > 0.0
+
+
+@pytest.mark.parametrize("target", [60.0, 0.0])
+def test_solve_full_charge_or_discharge_bids_zero(config, capsys, target):
+    doc = base_doc()
+    doc["battery"]["soc_target_kwh"] = target
+    code, out, err = run(capsys, "solve", "--config", config(doc))
+    assert code == 0 and err == ""
+    sol = json.loads(out)["solution"]
+    assert (sol["candidate"], sol["xr_kw"], sol["xr_max_kw"]) == ("zero", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("command", ["solve", "analytic"])
+def test_documented_full_example_runs(tmp_path, capsys, command):
+    """The full example of docs/config.md (balanced target, affine prices)
+    stays a valid config that the closed-form commands accept."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+    block = text.split("## Full example", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    path = tmp_path / "full.json"
+    path.write_text(block)
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["command"] == command
 
 
 def test_analytic_matches_library(config, capsys):

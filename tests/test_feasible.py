@@ -254,3 +254,8 @@ def test_max_bid_is_exactly_deliverable():
         lower, upper = envelopes(xmax, bat, con)
         purchase = purchase_power(xmax, ctx)
         assert min(upper - purchase, purchase - lower) >= 0.0, (i, xmax)
+        if target == y0:
+            # The closed form is settled onto the last float the band admits.
+            above = math.nextafter(xmax, math.inf)
+            lower, upper = envelopes(above, bat, con)
+            assert not lower <= purchase_power(above, ctx) <= upper, (i, xmax)

@@ -19,6 +19,7 @@ from fcrbid import (
     purchase_power_many,
     purchase_slopes,
     slope_bounds,
+    solve,
     solve_inelastic,
     three_point_upper,
     two_point_lower,
@@ -202,6 +203,8 @@ def test_balanced_purchase_is_exactly_linear():
         assert purchase_power(xr, ctx) == ctx.slope * xr
     grid = np.array([0.0, 0.5, 1.0, 7.3, 1e6, 1e13])
     np.testing.assert_array_equal(purchase_power_many(grid, ctx), ctx.slope * grid)
+    for xr in (0.5, 1.0, 7.3, 1e6, 1e13):
+        assert purchase_slopes(xr, ctx) == (ctx.slope, ctx.slope)
 
 
 def test_purchase_at_zero_bid_is_the_base():
@@ -403,13 +406,15 @@ def count_scdf_calls(monkeypatch):
 
 @pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
 def test_inversion_work_is_bounded(law, monkeypatch):
-    """The slope and each purchase take a handful of law evaluations, and an
+    """The slope and each purchase take a handful of law evaluations, an
     unbalanced solve of the README battery, charging or discharging, stays
-    within 200 whichever candidate wins."""
+    within 200 whichever candidate wins, and a balanced solve makes no law
+    evaluation beyond the slope's."""
     calls = count_scdf_calls(monkeypatch)
     eff = EfficiencyPair(0.9, 0.8)
     asymptotic_slope(eff, law)
     assert 0 < len(calls) <= 10
+    slope_calls = len(calls)
     for target in (0.25, -0.15):
         ctx = PurchaseContext(eff, law, target)
         for xr in (0.05, 0.7, 4.0, 60.0):
@@ -423,6 +428,12 @@ def test_inversion_work_is_bounded(law, monkeypatch):
             calls.clear()
             solve_inelastic(bat, con, MarketPrices(cb=5.1, cr=cr), law)
             assert len(calls) <= 200
+    bat = BatterySpec(60.0, 18.0, 15.0, 20.0, 20.0, eff)
+    for prices in (*(MarketPrices(cb=5.1, cr=cr) for cr in (0.9, 0.2, 0.05)),
+                   MarketPrices(mode="elastic", cb0=5.1, cbd=0.01, ca0=0.1, cad=0.005)):
+        calls.clear()
+        solve(bat, con, prices, law)
+        assert len(calls) == slope_calls
 
 
 def test_purchase_at_large_bids_with_a_small_target():

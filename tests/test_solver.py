@@ -169,6 +169,21 @@ def test_zero_bid_when_nothing_is_deliverable():
     assert sol.xr_max_kw == 0.0
 
 
+@pytest.mark.parametrize("target", [60.0, 0.0])
+@pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
+def test_full_charge_or_discharge_bids_zero(law, target):
+    """Charging the README battery full or draining it empty over the horizon
+    is deliverable at zero bid only, though the zero-bid purchase equals an
+    energy edge of the band only up to rounding."""
+    bat = BatterySpec(60.0, 18.0, 15.0, 20.0, target, EfficiencyPair(0.9, 0.8))
+    con = RegulationContract(12.0, 2.4)
+    for prices in (MarketPrices(cb=5.1, cr=0.9),
+                   MarketPrices(mode="elastic", cb0=5.1, cbd=0.01, ca0=0.9, cad=0.001)):
+        sol = solve(bat, con, prices, law)
+        assert (sol.candidate, sol.xr_kw, sol.xr_max_kw) == ("zero", 0.0, 0.0)
+        assert sol.xb_kw == context_for(bat, con, law).base_purchase
+
+
 def test_infeasible_instance_raises():
     bat = BatterySpec(100.0, 1.0, 5.0, 0.0, 90.0, EfficiencyPair(0.9, 0.8))
     con = RegulationContract(10.0, 2.0)
@@ -311,20 +326,20 @@ def _x_space_solve(bat, con, prices, d):
 
 @pytest.mark.filterwarnings("ignore:mean absolute deviation exceeds")
 def test_unit_searches_match_the_bid_space_reference():
-    """Searching the purchase per unit of bid gives the reference's candidate,
-    bids and objective, over the four laws, targets above and below the
-    initial state, and fixed and affine prices; at a stationary bid the
-    predicate holds as purchase_slopes evaluates it."""
+    """Searching the purchase per unit of bid, and the balanced closed form,
+    give the reference's candidate, bids and objective, over the four laws,
+    targets above, below and at the initial state, and fixed and affine
+    prices; at a stationary bid the predicate holds as purchase_slopes
+    evaluates it."""
     rng = np.random.default_rng(606)
     laws = (logistic, two_point_lower, three_point_upper,
             lambda mad: empirical(np.clip(rng.normal(0.0, mad, 30), -1.0, 1.0)))
     con = RegulationContract(12.0, 2.4)
-    candidates = set()
+    candidates = {"unbalanced": set(), "balanced": set()}
     for i in range(160):
         y0 = float(rng.uniform(15.0, 45.0))
         target = y0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.5, 10.0))
         eff = EfficiencyPair(float(rng.uniform(0.8, 0.98)), float(rng.uniform(0.8, 0.98)))
-        bat = BatterySpec(60.0, 18.0, 15.0, y0, target, eff)
         d = laws[i % 4](float(rng.uniform(0.05, 0.4)))
         ratio = asymptotic_slope(eff, d) * float(rng.uniform(0.02, 1.5))
         if i % 8 < 4:
@@ -332,34 +347,37 @@ def test_unit_searches_match_the_bid_space_reference():
         else:
             prices = MarketPrices(mode="elastic", cb0=2.0, cbd=float(rng.uniform(0.0, 0.02)),
                                   ca0=2.0 * ratio, cad=float(rng.uniform(0.0, 0.001)))
-        try:
-            sol = solve(bat, con, prices, d)
-        except InfeasibleProblemError:
-            continue
-        xr, candidate, xr_max, objective, scale = _x_space_solve(bat, con, prices, d)
-        assert sol.candidate == candidate, i
-        assert math.isclose(sol.xr_max_kw, xr_max, rel_tol=1e-12), i
-        assert math.isclose(sol.xr_kw, xr, rel_tol=1e-12), i
-        # The objective is a difference of terms; compare it at their scale.
-        assert abs(sol.objective_cts - objective) <= 1e-12 * scale, i
-        if candidate == "stationary":
-            ctx = context_for(bat, con, d)
-            cb0, cbd, ca0, cad = prices.coefficients
-            level = cb0 + 2.0 * cbd * purchase_power(sol.xr_kw, ctx)
-            assert purchase_slopes(sol.xr_kw, ctx)[1] >= (ca0 - 2.0 * cad * sol.xr_kw) / level
-        candidates.add(candidate)
-    assert candidates == {"boundary", "stationary"}
+        for tag, bat in (("unbalanced", BatterySpec(60.0, 18.0, 15.0, y0, target, eff)),
+                         ("balanced", BatterySpec(60.0, 18.0, 15.0, y0, y0, eff))):
+            try:
+                sol = solve(bat, con, prices, d)
+            except InfeasibleProblemError:
+                continue
+            xr, candidate, xr_max, objective, scale = _x_space_solve(bat, con, prices, d)
+            assert sol.candidate == candidate, (i, tag)
+            assert math.isclose(sol.xr_max_kw, xr_max, rel_tol=1e-12), (i, tag)
+            assert math.isclose(sol.xr_kw, xr, rel_tol=1e-12), (i, tag)
+            # The objective is a difference of terms; compare it at their scale.
+            assert abs(sol.objective_cts - objective) <= 1e-12 * scale, (i, tag)
+            if candidate == "stationary":
+                ctx = context_for(bat, con, d)
+                cb0, cbd, ca0, cad = prices.coefficients
+                level = cb0 + 2.0 * cbd * purchase_power(sol.xr_kw, ctx)
+                assert purchase_slopes(sol.xr_kw, ctx)[1] >= (ca0 - 2.0 * cad * sol.xr_kw) / level
+            candidates[tag].add(candidate)
+    assert candidates["unbalanced"] == {"boundary", "stationary"}
+    assert candidates["balanced"] == {"zero", "boundary", "stationary"}
 
 
 @pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
 def test_unbalanced_solves_are_scale_covariant(law):
     """Halving or doubling every battery quantity scales the bid, purchase and
     objective bit for bit, for boundary and stationary solves charging and
-    discharging."""
+    discharging, and for a balanced target."""
     con = RegulationContract(12.0, 2.4)
     eff = EfficiencyPair(0.9, 0.8)
     candidates = set()
-    for target in (26.0, 14.0):
+    for target in (26.0, 14.0, 20.0):
         for cr in (0.9, 0.05, 0.02):
             prices = MarketPrices(cb=5.1, cr=cr)
             sols = [solve(BatterySpec(60.0 * k, 18.0 * k, 15.0 * k, 20.0 * k, target * k, eff),
@@ -400,6 +418,8 @@ def test_analytic_bid_power_terms():
 
 
 def test_analytic_bid_matches_bisection():
+    """The closed form agrees with a bisection of the band in bid space, and
+    max_feasible_bid returns the bisection's bid exactly."""
     rng = np.random.default_rng(33)
     con = RegulationContract(24.0, 4.8)
     for _ in range(20):
@@ -412,8 +432,15 @@ def test_analytic_bid_matches_bisection():
         bat = BatterySpec(bat.cap_kwh, bat.charge_cap_kw, bat.discharge_cap_kw,
                           bat.soc0_kwh, bat.soc0_kwh, bat.eff)
         ctx = context_for(bat, con, logistic(0.1))
-        assert math.isclose(max_feasible_bid(bat, con, ctx),
-                            analytic_bid(bat, con, ctx.slope), rel_tol=1e-10)
+
+        def delivers(x):
+            lower, upper = envelopes(x, bat, con)
+            return lower <= ctx.slope * x <= upper
+
+        crossing = envelope_crossing(bat, con)
+        reference = crossing if delivers(crossing) else bisect_threshold(delivers, crossing, 0.0)[1]
+        assert math.isclose(reference, analytic_bid(bat, con, ctx.slope), rel_tol=1e-10)
+        assert max_feasible_bid(bat, con, ctx) == reference
 
 
 def test_energy_constrained_optimum_binding_labels():
