@@ -28,6 +28,7 @@ empirical
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,8 @@ class DeviationDistribution:
     _locs: np.ndarray | None = field(default=None, repr=False)
     _cum: np.ndarray | None = field(default=None, repr=False)
     _cum_wx: np.ndarray | None = field(default=None, repr=False)
+    # The same three as float tuples, for scalar lookups without NumPy.
+    _tables: tuple | None = field(default=None, repr=False)
 
     @property
     def is_discrete(self) -> bool:
@@ -78,8 +81,9 @@ class DeviationDistribution:
 
     def cdf(self, z):
         """Right-continuous CDF.  Accepts a float or an array."""
+        scalar = isinstance(z, float) or np.ndim(z) == 0
         if self.theta is not None:
-            if np.ndim(z) == 0:
+            if scalar:
                 return _sigmoid(self.theta * float(z))
             t = self.theta * np.asarray(z, dtype=float)
             out = np.empty_like(t)
@@ -88,9 +92,8 @@ class DeviationDistribution:
             e = np.exp(t[~pos])
             out[~pos] = e / (1.0 + e)
             return out
-        if np.ndim(z) == 0:
-            k = int(np.searchsorted(self._locs, float(z), side="right"))
-            return float(self._cum[k])
+        if scalar:
+            return self._tables[1][bisect_right(self._tables[0], float(z))]
         k = np.searchsorted(self._locs, np.asarray(z, dtype=float), side="right")
         return self._cum[k]
 
@@ -100,9 +103,8 @@ class DeviationDistribution:
             v = self.cdf(float(z))
             return v, v
         z = float(z)
-        k_left = int(np.searchsorted(self._locs, z, side="left"))
-        k_right = int(np.searchsorted(self._locs, z, side="right"))
-        return float(self._cum[k_left]), float(self._cum[k_right])
+        locs, cum, _ = self._tables
+        return cum[bisect_left(locs, z)], cum[bisect_right(locs, z)]
 
     def scdf(self, z):
         """Antiderivative of the CDF with scdf(-1) = 0.
@@ -110,19 +112,21 @@ class DeviationDistribution:
         Convex, nondecreasing, and equal to max(0, z) outside the support.
         Satisfies the symmetry identity scdf(z) = scdf(-z) + z.
         """
+        scalar = isinstance(z, float) or np.ndim(z) == 0
         if self.theta is not None:
             th = self.theta
-            if np.ndim(z) == 0:
+            if scalar:
                 z = float(z)
                 if z > 0.0:
                     return z + math.log1p(math.exp(-th * z)) / th
                 return math.log1p(math.exp(th * z)) / th
             z = np.asarray(z, dtype=float)
             return np.where(z > 0.0, z, 0.0) + np.log1p(np.exp(-th * np.abs(z))) / th
-        if np.ndim(z) == 0:
+        if scalar:
             z = float(z)
-            k = int(np.searchsorted(self._locs, z, side="right"))
-            return float(self._cum[k] * z - self._cum_wx[k])
+            locs, cum, cum_wx = self._tables
+            k = bisect_right(locs, z)
+            return cum[k] * z - cum_wx[k]
         z = np.asarray(z, dtype=float)
         k = np.searchsorted(self._locs, z, side="right")
         return self._cum[k] * z - self._cum_wx[k]
@@ -157,7 +161,8 @@ def _discrete(kind: str, mad: float, locs, mass) -> DeviationDistribution:
     locs, mass = locs[keep], mass[keep]
     cum = np.concatenate(([0.0], np.cumsum(mass)))
     cum_wx = np.concatenate(([0.0], np.cumsum(mass * locs)))
-    return DeviationDistribution(kind, mad, _locs=locs, _cum=cum, _cum_wx=cum_wx)
+    return DeviationDistribution(kind, mad, _locs=locs, _cum=cum, _cum_wx=cum_wx, _tables=tuple(
+        tuple(a.tolist()) for a in (locs, cum, cum_wx)))
 
 
 def logistic(mad: float) -> DeviationDistribution:

@@ -3,9 +3,11 @@
 A bid is deliverable when the purchase band admitted by the power caps and
 the worst-case energy excursions still contains the purchase required to
 hold the drift target.  Each edge is two affine pieces of the bid, of slopes
-1 and the activation ratio; the lower edge rises and the upper falls, so the
-deliverable set is an interval [0, max_bid].  The band's crossing and a
-balanced target's largest bid are closed forms in the pieces' offsets.
+1 and the activation ratio; the lower edge rises and the upper falls.  The
+band's crossing and a balanced target's largest bid are closed forms in the
+pieces' offsets; elsewhere the purchase meets a piece at a Newton root in
+the purchase per unit of bid, one of the paper's rational functions for a
+discrete deviation law.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from .distributions import DeviationDistribution
 from .errors import AssumptionError, InfeasibleProblemError, TargetMismatchError
-from .purchase import EfficiencyPair, PurchaseContext, _unit_bid, purchase_power
-from .rootfind import expand_until, threshold_via
+from .purchase import EfficiencyPair, PurchaseContext, purchase_power
+from .rootfind import BISECT_MAX_ITER, last_true
 
 __all__ = [
     "BatterySpec",
@@ -143,17 +145,44 @@ def analytic_bid(bat: BatterySpec, con: RegulationContract, slope: float) -> flo
     return _balanced_bid(slope, *_band(bat, con))
 
 
+def _piece_bid(k: float, c: float, ctx: PurchaseContext) -> tuple[float, float]:
+    """Bid at which the purchase first meets the band piece k x + c from zero
+    bid (inf if never), and the bid's typical rounding error.
+
+    The bid is d / g(u) at the first root of h(u) = d (u - k) - c g(u).  As
+    g(u) <= s u (s = eta_plus for d > 0, 1/eta_minus for d < 0; equal for
+    |u| >= 1 under a law on [-1, 1]), the root of d (u - k) = c s u lies on
+    the zero-bid side of it, and h is concave (k > 0) or convex: Newton with
+    g's left derivative climbs from there.
+    """
+    d, dist = ctx.drift_target, ctx.dist
+    eta_p, drain = ctx.eff.eta_plus, ctx.eff.drain
+    u = d * k / (d - c * (eta_p if d > 0.0 else 1.0 / ctx.eff.eta_minus))
+    for _ in range(BISECT_MAX_ITER):
+        g = eta_p * u - drain * dist.scdf(-u)
+        slope = d - c * (eta_p + drain * dist.cdf(-u))
+        if not slope * k > 0.0:
+            return math.inf, 0.0
+        new = u - (d * (u - k) - c * g) / slope
+        if not new > u:
+            break
+        u = new
+    if d * g <= 0.0:  # past the balanced root: no bid
+        return math.inf, 0.0
+    # Near balance g cancels: its relative error is (|eta_plus u| + |drain
+    # scdf(-u)|) / |g| ulps at most, and d / g's with it; a quarter is typical.
+    return d / g, 0.25 * math.ulp(d / g) * (abs(eta_p * u) + abs(eta_p * u - g)) / abs(g)
+
+
 def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
                      ctx: PurchaseContext) -> float:
-    """Largest deliverable bid.
+    """Largest deliverable bid: the last float at which the purchase of
+    :func:`purchase_power` lies inside the band exactly, not only to rounding.
 
-    Returns the crossing of the band's edges when the purchase lies inside
-    the band there.  Otherwise, for a balanced target, :func:`analytic_bid`
-    stepped float by float onto the largest bid the band admits; else one
-    bisection toward zero in the purchase per unit of bid u, from the
-    crossing's u to the first of +-1, +-2, +-4, ... at which the band holds,
-    one law evaluation per probe.  The purchase of :func:`purchase_power`
-    lies inside the band at the returned bid exactly, not only to rounding.
+    That is the band's crossing when the purchase lies inside the band there.
+    Otherwise :func:`analytic_bid` for a balanced target, else the least bid
+    at which the purchase meets a band piece it crosses (one Newton solve in
+    the purchase per unit of bid each), is settled onto the last float.
 
     Raises
     ------
@@ -187,9 +216,12 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
     if base < -bat.discharge_cap_kw:
         raise InfeasibleProblemError(f"required purchase at zero bid ({base:.6g} kW) is below "
                                      f"the admissible minimum ({-bat.discharge_cap_kw:.6g} kW)")
-    band = _band(bat, con)
+    l1, l2, u1, u2, q = band = _band(bat, con)
     crossing = _crossing(*band)
-    if crossing <= 0.0:
+    d = ctx.drift_target
+    # A full charge (discharge) puts the zero-bid purchase on an edge: closed.
+    gap = min(u1, u2) - base if d > 0.0 else base + min(l1, l2)
+    if crossing <= 0.0 or d != 0.0 and gap <= 8.0 * math.ulp(base):
         return 0.0
 
     def delivers(x: float, purchase: float | None = None) -> bool:
@@ -197,23 +229,19 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
         lower, upper = _edges(x, *band)
         return lower <= (purchase_power(x, ctx) if purchase is None else purchase) <= upper
 
-    # The edges meet at the crossing, so only one of them can lie on the wrong
-    # side of the purchase there; both distances fall as the bid grows.
+    # The purchase meets each piece once, save that for d < 0 and a slope
+    # above q it can dip below the lower energy piece and come back.
     at_crossing = purchase_power(crossing, ctx)
-    if delivers(crossing, at_crossing):
+    inside = delivers(crossing, at_crossing)
+    dips = d < 0.0 and q < ctx.slope
+    if inside and not dips:
         return crossing
-    if ctx.drift_target == 0.0:
-        x = _balanced_bid(ctx.slope, *band)
-        while delivers(math.nextafter(x, math.inf)):
-            x = math.nextafter(x, math.inf)
-        while not delivers(x):
-            x = math.nextafter(x, 0.0)
-        return x
-
-    def at_unit(u: float) -> bool:
-        return delivers(*_unit_bid(u, ctx)[:2])
-
-    # No far end: the band closes within 2**-200 drift_target of zero bid.
-    far = expand_until(at_unit, math.copysign(1.0, ctx.drift_target))
-    return 0.0 if far is None else threshold_via(
-        at_unit, at_crossing / crossing, far, lambda u: _unit_bid(u, ctx)[0], delivers, 0.0)
+    if d == 0.0:
+        x, error = _balanced_bid(ctx.slope, *band), 0.0
+    else:
+        pieces = ((1.0, -l1), (q, -l2), (-1.0, u1), (-q, u2))  # xb = k x + c, k > 0 below
+        x, error = min(_piece_bid(k, c, ctx) for k, c in pieces
+                       if dips and k == q or k * (at_crossing - (k * crossing + c)) < 0.0)
+        if inside and x >= crossing:
+            return crossing
+    return last_true(delivers, x - error, x + error)

@@ -1,9 +1,11 @@
-"""Bisection helpers for the two bid searches (largest deliverable bid and
-stationary candidate).  Bisection runs until the bracket collapses to
+"""Threshold searches for the bids: settling a closed-form or Newton
+estimate onto the last float a predicate admits, and the stationary
+candidate's bisections.  Bisection runs until the bracket collapses to
 adjacent floats (at most 200 halvings), which keeps every result exactly
 covariant under power-of-two rescaling of the inputs.
 """
 
+import functools
 import math
 
 BISECT_MAX_ITER = 200
@@ -44,3 +46,18 @@ def threshold_via(pred_u, lo, hi, to_x, pred_x, toward):
     while not pred_x(x):
         x = math.nextafter(x, toward)
     return x
+
+
+def last_true(pred, lo, hi):
+    """Largest float >= 0 where ``pred`` holds and fails at the next float up,
+    from a guess [lo, hi] of the bracket; ``pred`` holds at 0 and fails far
+    out.  An end on the wrong side moves outward by doubling steps, then bisect."""
+    pred = functools.cache(pred)
+    lo = max(lo, 0.0)
+    hi = max(hi, math.nextafter(lo, math.inf))
+    step = hi - lo
+    while not pred(lo):
+        lo, hi, step = max(lo - step, 0.0), lo, 2.0 * step
+    while pred(hi):
+        lo, hi, step = hi, hi + step, 2.0 * step
+    return bisect_threshold(lambda x: not pred(x), lo, hi)[0]

@@ -9,7 +9,8 @@ convex in the bid, so the optimum is one of three candidates: zero, the
 largest deliverable bid, or the smallest stationary point where the price
 ratio enters the purchase curve's subdifferential.  Ties break toward the
 smaller bid.  A balanced target has both slopes equal to the asymptotic
-slope m, so fixed prices pick zero or the largest bid by m against the ratio.
+slope m, so fixed prices pick zero or the largest bid by m against the ratio
+and affine prices meet it at a closed form.
 An unbalanced target's stationary point is searched in the purchase per unit
 of bid u, where bid, purchase and slopes are explicit.
 """
@@ -23,7 +24,7 @@ from .distributions import DeviationDistribution
 from .errors import AssumptionError
 from .feasible import BatterySpec, RegulationContract, context_for, max_feasible_bid
 from .purchase import PurchaseContext, _unit_bid, _unit_point, purchase_power, purchase_slopes
-from .rootfind import bisect_threshold, expand_until, threshold_via
+from .rootfind import expand_until, last_true, threshold_via
 
 __all__ = [
     "MarketPrices",
@@ -93,27 +94,30 @@ class BidSolution:
         return asdict(self)
 
 
-def _solve_with_ratio(bat: BatterySpec, con: RegulationContract,
-                      ctx: PurchaseContext, ratio_at) -> tuple[float, str, float]:
-    """Shared three-candidate selection.
+def _solve_with_ratio(bat: BatterySpec, con: RegulationContract, ctx: PurchaseContext,
+                      ratio_at, balanced_root: float = 0.0) -> tuple[float, float, str, float]:
+    """Shared three-candidate selection: (bid, purchase, candidate, xr_max).
 
     ``ratio_at(xr, xb)`` returns the marginal bid revenue over the marginal
     purchase price at bid ``xr`` with purchase ``xb``; for fixed prices it
     is constant.  The optimum is the smallest bid whose right slope reaches
-    the ratio, or a boundary candidate.
+    the ratio, or a boundary candidate; for a balanced target it is settled
+    from ``balanced_root``, where the ratio meets the slope.
     """
     xr_max = max_feasible_bid(bat, con, ctx)
     if xr_max <= 0.0 or purchase_slopes(0.0, ctx)[1] >= ratio_at(0.0, ctx.base_purchase):
-        return 0.0, "zero", xr_max
+        return 0.0, ctx.base_purchase, "zero", xr_max
     xb_max = purchase_power(xr_max, ctx)
     if purchase_slopes(xr_max, ctx)[0] < ratio_at(xr_max, xb_max):
-        return xr_max, "boundary", xr_max
+        return xr_max, xb_max, "boundary", xr_max
 
     def reaches(x: float) -> bool:
         return purchase_slopes(x, ctx)[1] >= ratio_at(x, purchase_power(x, ctx))
 
     if ctx.drift_target == 0.0:
-        return bisect_threshold(reaches, 0.0, xr_max)[1], "stationary", xr_max
+        guess = min(balanced_root, xr_max)
+        xr = math.nextafter(last_true(lambda x: not reaches(x), guess, guess), math.inf)
+        return xr, purchase_power(xr, ctx), "stationary", xr_max
 
     def reaches_at_unit(u: float) -> bool:
         x, xb, _, right = _unit_point(u, ctx)
@@ -123,7 +127,7 @@ def _solve_with_ratio(bat: BatterySpec, con: RegulationContract,
     far = expand_until(lambda u: not reaches_at_unit(u), math.copysign(1.0, ctx.drift_target))
     xr = threshold_via(reaches_at_unit, far, xb_max / xr_max,
                        lambda u: min(_unit_bid(u, ctx)[0], xr_max), reaches, xr_max)
-    return xr, "stationary", xr_max
+    return xr, purchase_power(xr, ctx), "stationary", xr_max
 
 
 def solve(bat: BatterySpec, con: RegulationContract,
@@ -148,8 +152,10 @@ def solve(bat: BatterySpec, con: RegulationContract,
             return float("inf") if margin > 0.0 else float("-inf")
         return margin / level
 
-    xr, candidate, xr_max = _solve_with_ratio(bat, con, ctx, ratio_at)
-    xb = purchase_power(xr, ctx)
+    # A balanced target's purchase is m x: m (cb0 + 2 cbd m x) = ca0 - 2 cad x.
+    m = ctx.slope
+    root = (ca0 - m * cb0) / (2.0 * (cad + m * m * cbd)) if cad + m * m * cbd > 0.0 else 0.0
+    xr, xb, candidate, xr_max = _solve_with_ratio(bat, con, ctx, ratio_at, root)
     objective = con.horizon_h * (cb0 * xb + cbd * xb * xb - ca0 * xr + cad * xr * xr)
     # A zero marginal energy price leaves the ratio unbounded; JSON has no infinity.
     at_zero, at_xr = (r if math.isfinite(r) else None

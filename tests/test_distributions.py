@@ -151,14 +151,23 @@ def test_scdf_outside_support():
 
 
 def test_array_and_scalar_paths_agree():
-    z = np.linspace(-1.1, 1.1, 57)
-    # discrete laws share the exact expression between both paths
-    for d in (three_point_upper(0.4), empirical([0.5, -0.2])):
-        scdf_arr = d.scdf(z)
-        cdf_arr = d.cdf(z)
-        for i, zi in enumerate(z):
-            assert scdf_arr[i] == d.scdf(float(zi))
-            assert cdf_arr[i] == d.cdf(float(zi))
+    """A float goes through plain-Python lookups; for the discrete laws they
+    return exactly what the array path returns, at every atom, at +-0.0 and
+    at other points, and the left CDF limit at z is the CDF at the float
+    below z.  A NumPy scalar or a 0-d array takes the float path."""
+    z = np.concatenate((np.linspace(-1.1, 1.1, 57), [0.0, -0.0],
+                        np.random.default_rng(6).uniform(-1.2, 1.2, 200)))
+    rng = np.random.default_rng(5)
+    for d in (two_point_lower(0.3), three_point_upper(0.4), empirical([0.5, -0.2]),
+              empirical(rng.uniform(-1.0, 1.0, 50))):
+        zs = np.concatenate((z, d._locs))
+        scdf_arr, cdf_arr, left_arr = d.scdf(zs), d.cdf(zs), d.cdf(np.nextafter(zs, -np.inf))
+        for i, zi in enumerate(zs.tolist()):
+            got = (d.scdf(zi), d.cdf(zi), d.cdf_pair(zi))
+            assert got == (scdf_arr[i], cdf_arr[i], (left_arr[i], cdf_arr[i])), (d.kind, zi)
+            assert all(type(v) is float for v in (*got[:2], *got[2]))
+            for same in (np.float64(zi), np.array(zi)):
+                assert (d.scdf(same), d.cdf(same), d.cdf_pair(same)) == got
     # the logistic paths go through numpy and math kernels that may differ
     # in the last bit
     d = logistic(0.3)
@@ -166,6 +175,8 @@ def test_array_and_scalar_paths_agree():
         d.scdf(z), [d.scdf(float(zi)) for zi in z], rtol=5e-16, atol=0.0)
     np.testing.assert_allclose(
         d.cdf(z), [d.cdf(float(zi)) for zi in z], rtol=5e-16, atol=0.0)
+    for zi in z.tolist():
+        assert (d.scdf(np.float64(zi)), d.cdf(np.array(zi))) == (d.scdf(zi), d.cdf(zi))
 
 
 def test_sampling_is_deterministic():

@@ -229,8 +229,9 @@ def test_max_bid_random_instances():
 @pytest.mark.filterwarnings("ignore:mean absolute deviation exceeds")
 def test_max_bid_is_exactly_deliverable():
     """At the returned bid the purchase lies inside the band in floating
-    point, not just to rounding: 1200 random problems over the four laws and
-    balanced, charging and discharging targets."""
+    point, not just to rounding, and at the next float up it does not: 1200
+    random problems over the four laws and balanced, charging and
+    discharging targets."""
     rng = np.random.default_rng(2023)
     laws = (
         logistic,
@@ -254,8 +255,34 @@ def test_max_bid_is_exactly_deliverable():
         lower, upper = envelopes(xmax, bat, con)
         purchase = purchase_power(xmax, ctx)
         assert min(upper - purchase, purchase - lower) >= 0.0, (i, xmax)
-        if target == y0:
-            # The closed form is settled onto the last float the band admits.
-            above = math.nextafter(xmax, math.inf)
-            lower, upper = envelopes(above, bat, con)
-            assert not lower <= purchase_power(above, ctx) <= upper, (i, xmax)
+        # The bid is settled onto the last float the band admits.
+        above = math.nextafter(xmax, math.inf)
+        lower, upper = envelopes(above, bat, con)
+        assert not lower <= purchase_power(above, ctx) <= upper, (i, xmax)
+
+
+@pytest.mark.filterwarnings("ignore:mean absolute deviation exceeds")
+@pytest.mark.parametrize("law", [logistic(0.8), two_point_lower(0.8), three_point_upper(0.8),
+                                 empirical(np.linspace(0.6, 1.0, 9))], ids=lambda d: d.kind)
+def test_max_bid_is_where_the_purchase_first_leaves_the_band(law):
+    """Discharging with an activation ratio below the purchase slope, the
+    purchase dips below the lower energy piece well short of the crossing
+    and comes back above it: the largest bid is where it first leaves the
+    band, every bid below it delivers, and some larger bids deliver again."""
+    bat = BatterySpec(60.0, 100.0, 80.0, 6.0, 1.0, EfficiencyPair(0.65, 0.7))
+    con = RegulationContract(168.0, 42.0)
+    ctx = context_for(bat, con, law)
+    assert con.activation < ctx.slope
+    xmax = max_feasible_bid(bat, con, ctx)
+    assert 0.0 < xmax < 0.1 * envelope_crossing(bat, con)
+    grid = np.linspace(0.0, xmax, 2001)
+    lower, upper = envelopes(grid, bat, con)
+    purchase = purchase_power_many(grid, ctx)
+    assert np.all((lower <= purchase) & (purchase <= upper))
+    above = math.nextafter(xmax, math.inf)
+    lower, upper = envelopes(above, bat, con)
+    assert not lower <= purchase_power(above, ctx) <= upper
+    grid = np.linspace(above, envelope_crossing(bat, con), 2001)
+    lower, upper = envelopes(grid, bat, con)
+    purchase = purchase_power_many(grid, ctx)
+    assert np.any((lower <= purchase) & (purchase <= upper))

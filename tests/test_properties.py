@@ -4,7 +4,11 @@ Runs are derandomized and keep no example database, so a plain ``pytest``
 run is deterministic.
 """
 
-from hypothesis import given, settings
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fcrbid import (
@@ -15,9 +19,13 @@ from fcrbid import (
     asymptotic_slope,
     check_robust_feasibility,
     context_for,
+    empirical,
+    envelope_crossing,
     envelopes,
     logistic,
     max_feasible_bid,
+    purchase_power,
+    three_point_upper,
     two_point_lower,
 )
 
@@ -93,3 +101,48 @@ def test_the_sweep_finds_an_overbid(instance, seed):
                                       seed=seed, n_steps=64)
     assert not report.feasible
     assert report.sampled_max_violation > 1e-6
+
+
+@st.composite
+def unbalanced_instances(draw):
+    """A battery charging or discharging by up to 95% of its room, any of the
+    four laws, and a contract with a budget of 5-50% of the horizon."""
+    horizon = draw(st.sampled_from([4.0, 6.0, 12.0, 24.0]))
+    cap = draw(st.floats(20.0, 200.0))
+    soc0 = draw(st.floats(0.1, 0.9)) * cap
+    share = draw(st.floats(0.001, 0.95))
+    target = soc0 + share * (cap - soc0) if draw(st.booleans()) else soc0 - share * soc0
+    eff = EfficiencyPair(draw(st.floats(0.7, 1.0)), draw(st.floats(0.7, 1.0)))
+    bat = BatterySpec(cap, draw(st.floats(0.05, 1.0)) * cap, draw(st.floats(0.05, 1.0)) * cap,
+                      soc0, target, eff)
+    con = RegulationContract(horizon, draw(st.floats(0.05, 0.5)) * horizon)
+    mad = draw(st.floats(0.02, 0.6))
+    kind = draw(st.sampled_from(["logistic", "two_point_lower", "three_point_upper",
+                                 "empirical"]))
+    if kind == "empirical":
+        rng = np.random.default_rng(draw(SEEDS))
+        law = empirical(np.clip(rng.normal(0.0, mad, 40), -1.0, 1.0))
+    else:
+        law = {"logistic": logistic, "two_point_lower": two_point_lower,
+               "three_point_upper": three_point_upper}[kind](mad)
+    return bat, con, law
+
+
+@PROPERTY
+@pytest.mark.filterwarnings("ignore:mean absolute deviation exceeds")
+@given(unbalanced_instances())
+def test_unbalanced_max_bid_is_the_last_deliverable_float(instance):
+    """The largest deliverable bid of an unbalanced target lies in (0,
+    crossing]; the purchase is inside the band there and, short of the
+    crossing, outside it at the next float up."""
+    bat, con, law = instance
+    ctx = context_for(bat, con, law)
+    assume(-bat.discharge_cap_kw < ctx.base_purchase < bat.charge_cap_kw)
+    xmax = max_feasible_bid(bat, con, ctx)
+    assert 0.0 < xmax <= envelope_crossing(bat, con)
+    lower, upper = envelopes(xmax, bat, con)
+    assert lower <= purchase_power(xmax, ctx) <= upper
+    above = math.nextafter(xmax, math.inf)
+    lower, upper = envelopes(above, bat, con)
+    assert xmax == envelope_crossing(bat, con) or not (
+        lower <= purchase_power(above, ctx) <= upper)

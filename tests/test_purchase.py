@@ -11,9 +11,11 @@ from fcrbid import (
     PurchaseContext,
     RegulationContract,
     asymptotic_slope,
+    context_for,
     empirical,
     expected_charge_rate,
     logistic,
+    max_feasible_bid,
     purchase_bounds,
     purchase_power,
     purchase_power_many,
@@ -406,10 +408,11 @@ def count_scdf_calls(monkeypatch):
 
 @pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
 def test_inversion_work_is_bounded(law, monkeypatch):
-    """The slope and each purchase take a handful of law evaluations, an
-    unbalanced solve of the README battery, charging or discharging, stays
-    within 200 whichever candidate wins, and a balanced solve makes no law
-    evaluation beyond the slope's."""
+    """The slope and each purchase take a handful of law evaluations, the
+    largest deliverable bid of the README battery, charging or discharging,
+    takes at most 40, an unbalanced solve stays within 200 whichever
+    candidate wins, and a balanced solve makes no law evaluation beyond the
+    slope's."""
     calls = count_scdf_calls(monkeypatch)
     eff = EfficiencyPair(0.9, 0.8)
     asymptotic_slope(eff, law)
@@ -424,6 +427,10 @@ def test_inversion_work_is_bounded(law, monkeypatch):
     con = RegulationContract(horizon_h=12.0, budget_h=2.4)
     for target in (26.0, 14.0):
         bat = BatterySpec(60.0, 18.0, 15.0, 20.0, target, eff)
+        ctx = context_for(bat, con, law)
+        calls.clear()
+        max_feasible_bid(bat, con, ctx)
+        assert len(calls) <= 40
         for cr in (0.9, 0.2, 0.05):
             calls.clear()
             solve_inelastic(bat, con, MarketPrices(cb=5.1, cr=cr), law)

@@ -31,6 +31,7 @@ from fcrbid import (
     two_point_lower,
 )
 from fcrbid.rootfind import bisect_threshold
+import fcrbid.solver as solver_module
 from fcrbid.solver import _solve_with_ratio
 
 import oracles
@@ -171,15 +172,22 @@ def test_zero_bid_when_nothing_is_deliverable():
 
 @pytest.mark.parametrize("target", [60.0, 0.0])
 @pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
-def test_full_charge_or_discharge_bids_zero(law, target):
+def test_full_charge_or_discharge_bids_zero(law, target, monkeypatch):
     """Charging the README battery full or draining it empty over the horizon
     is deliverable at zero bid only, though the zero-bid purchase equals an
-    energy edge of the band only up to rounding."""
-    bat = BatterySpec(60.0, 18.0, 15.0, 20.0, target, EfficiencyPair(0.9, 0.8))
+    energy edge of the band only up to rounding.  The solve sees that the
+    band closes at zero bid: it makes few law evaluations beyond the slope's."""
+    calls = count_scdf_calls(monkeypatch)
+    eff = EfficiencyPair(0.9, 0.8)
+    asymptotic_slope(eff, law)
+    slope_calls = len(calls)
+    bat = BatterySpec(60.0, 18.0, 15.0, 20.0, target, eff)
     con = RegulationContract(12.0, 2.4)
     for prices in (MarketPrices(cb=5.1, cr=0.9),
                    MarketPrices(mode="elastic", cb0=5.1, cbd=0.01, ca0=0.9, cad=0.001)):
+        calls.clear()
         sol = solve(bat, con, prices, law)
+        assert len(calls) <= slope_calls + 10
         assert (sol.candidate, sol.xr_kw, sol.xr_max_kw) == ("zero", 0.0, 0.0)
         assert sol.xb_kw == context_for(bat, con, law).base_purchase
 
@@ -229,13 +237,12 @@ def test_elastic_with_zero_elasticities_matches_inelastic_bitwise(monkeypatch):
             runs.append((repr(sol), len(calls)))
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
-        # A constant ratio: the solve costs the context, the selection and
-        # the purchase at the bid, and nothing more.
+        # A constant ratio: the solve costs the context and the selection,
+        # which returns the purchase at the bid, and nothing more.
         calls.clear()
         ctx = context_for(bat, con, d)
-        xr = _solve_with_ratio(bat, con, ctx, lambda _x, _xb: cr / 1.3)[0]
-        purchase_power(xr, ctx)
-        assert (xr, len(calls)) == (sol.xr_kw, runs[0][1])
+        xr, xb = _solve_with_ratio(bat, con, ctx, lambda _x, _xb: cr / 1.3)[:2]
+        assert (xr, xb, len(calls)) == (sol.xr_kw, sol.xb_kw, runs[0][1])
         candidates.add(sol.candidate)
     assert candidates == {"zero", "stationary", "boundary"}
 
@@ -255,6 +262,41 @@ def test_elastic_interior_optimum_closed_form():
     assert math.isclose(sol.xr_kw, want, rel_tol=1e-8)
     ratio = sol.diagnostics["price_ratio_at_solution"]
     assert math.isclose(ratio, m, rel_tol=1e-7)
+
+
+@pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
+def test_balanced_affine_stationary_bid_is_the_bisected_bid(law, monkeypatch):
+    """A balanced target's stationary bid under affine prices is the closed
+    form (ca0 - m cb0) / (2 (cad + m^2 cbd)) moved onto the first float where
+    the right slope reaches the price ratio: the same bid as a bisection of
+    that predicate over [0, xr_max], at a handful of slope evaluations."""
+    slopes = []
+    monkeypatch.setattr(solver_module, "purchase_slopes",
+                        lambda x, ctx: slopes.append(x) or purchase_slopes(x, ctx))
+    rng = np.random.default_rng(44)
+    con = RegulationContract(12.0, 2.4)
+    bat = BatterySpec(60.0, 18.0, 15.0, 20.0, 20.0, EfficiencyPair(0.9, 0.8))
+    ctx = context_for(bat, con, law)
+    m = ctx.slope
+    runs = [(5.1, 0.01, 0.1, 0.005)]
+    for _ in range(12):
+        cb0, cbd, cad = (float(rng.uniform(*span)) for span in ((1.0, 6.0), (0.0, 0.02),
+                                                                 (1e-4, 0.01)))
+        # a ratio above the slope at zero bid and below it at the largest bid
+        ca0 = m * cb0 + float(rng.uniform(0.1, 0.9)) * 2.0 * (cad + m * m * cbd) * \
+            max_feasible_bid(bat, con, ctx)
+        runs.append((cb0, cbd, ca0, cad))
+    for cb0, cbd, ca0, cad in runs:
+        slopes.clear()
+        sol = solve(bat, con, MarketPrices(mode="elastic", cb0=cb0, cbd=cbd, ca0=ca0, cad=cad),
+                    law)
+        assert sol.candidate == "stationary"
+        assert len(slopes) <= 12
+
+        def reaches(x):
+            return m >= (ca0 - 2.0 * cad * x) / (cb0 + 2.0 * cbd * purchase_power(x, ctx))
+
+        assert sol.xr_kw == bisect_threshold(reaches, 0.0, sol.xr_max_kw)[1]
 
 
 def test_elastic_boundary_candidate():

@@ -33,7 +33,9 @@ def test_tracer_wraps_and_restores_every_target(monkeypatch):
     wrapped = {key for key, value in during.items() if value is not before[key]}
     assert {(fcrbid.solver, "solve_inelastic"), (fcrbid.solver, "solve_elastic"),
             (fcrbid.solver, "_solve_with_ratio"), (fcrbid.cli, "solve_inelastic"),
-            (fcrbid.cli, "solve_elastic")} <= wrapped
+            (fcrbid.cli, "solve_elastic"), (DeviationDistribution, "scdf"),
+            (fcrbid.feasible, "purchase_power"), (fcrbid.solver, "max_feasible_bid"),
+            (fcrbid.solver, "purchase_power"), (fcrbid.solver, "purchase_slopes")} <= wrapped
     for key in wrapped:
         assert during[key].__wrapped__ is before[key]
     after = _attributes()
