@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,14 +30,7 @@ from .econ import (
     required_charger_rate,
     unit_profit,
 )
-from .errors import (
-    AssumptionError,
-    ConfigError,
-    DegenerateSignalError,
-    InfeasibleProblemError,
-    SingularFitError,
-    TargetMismatchError,
-)
+from .errors import ConfigError, InfeasibleProblemError
 from .feasible import RegulationContract, analytic_bid, context_for, envelopes, max_feasible_bid
 from .ingest import (
     fit_elasticity,
@@ -106,13 +100,23 @@ def _count(floor: int):
     return count
 
 
+def _finite(text: str) -> float:
+    """argparse type for a float flag, which must be finite."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _parse_grid(text: str) -> list[float]:
     try:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError:
         raise ConfigError(f"bad grid {text!r}; expected start:stop:step") from None
-    if step <= 0.0 or stop < start:
-        raise ConfigError(f"bad grid {text!r}; need step > 0 and stop >= start")
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
+        raise ConfigError(f"bad grid {text!r}; need finite values, step > 0 and stop >= start")
     values = []
     k = 0
     while True:
@@ -219,10 +223,7 @@ def _cmd_profit(args) -> int:
     ctx = context_for(cfg.battery, cfg.contract, cfg.distribution)
     slope = ctx.slope
     activation = cfg.contract.activation
-    horizons = (
-        [float(tok) for tok in args.horizons.split(",")]
-        if args.horizons else [cfg.contract.horizon_h]
-    )
+    horizons = args.horizons or [cfg.contract.horizon_h]
     inv = cfg.investment
     rows = []
     for horizon in horizons:
@@ -308,10 +309,13 @@ def _fit_elastic_csv(path: str) -> tuple[float, float]:
             if not row:
                 continue
             try:
-                volumes.append(float(row[0]))
-                prices.append(float(row[1]))
+                volume, price = float(row[0]), float(row[1])
             except (IndexError, ValueError):
-                raise ConfigError(f"{path}: line {lineno}: bad row") from None
+                volume = price = math.nan
+            if not math.isfinite(volume) or not math.isfinite(price):
+                raise ConfigError(f"{path}: line {lineno}: bad row")
+            volumes.append(volume)
+            prices.append(price)
     return fit_elasticity(prices, volumes)
 
 
@@ -425,25 +429,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bounds", _cmd_bounds, "purchase curve with envelopes over a bid grid")
     p.add_argument("--grid", type=_count(1), default=101, help="number of grid points")
-    p.add_argument("--max-xr", type=float, default=None, help="grid upper end in kW")
+    p.add_argument("--max-xr", type=_finite, default=None, help="grid upper end in kW")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("sweep-slope", _cmd_sweep_slope,
             "asymptotic slope and its bounds over a roundtrip grid", config=False)
     p.add_argument("--eta-grid", required=True, help="roundtrip grid start:stop:step")
-    p.add_argument("--mad", type=float, required=True, help="mean absolute deviation")
+    p.add_argument("--mad", type=_finite, required=True, help="mean absolute deviation")
     p.add_argument("--format", choices=["json", "csv"], default="csv")
 
     p = add("profit", _cmd_profit, "per-unit, operating and yearly profit tables")
-    p.add_argument("--horizons", help="comma-separated horizon lengths in hours")
+    p.add_argument("--horizons", type=lambda text: [_finite(tok) for tok in text.split(",")],
+                   help="comma-separated horizon lengths in hours")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("fit", _cmd_fit, "estimate model parameters from data files", config=False)
     p.add_argument("--frequency", help="frequency CSV (timestamp,hz)")
-    p.add_argument("--nu0", type=float, default=50.0, help="nominal frequency in Hz")
-    p.add_argument("--delta-nu", type=float, default=0.2,
+    p.add_argument("--nu0", type=_finite, default=50.0, help="nominal frequency in Hz")
+    p.add_argument("--delta-nu", type=_finite, default=0.2,
                    help="saturation deviation in Hz")
-    p.add_argument("--mad-cap", type=float, default=None,
+    p.add_argument("--mad-cap", type=_finite, default=None,
                    help="cap per-day dispersion at this value before fitting")
     p.add_argument("--prices", help="price CSV")
     p.add_argument("--elastic-energy", help="volume_kw,price_cts CSV for the energy market")
@@ -451,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="volume_kw,price_cts CSV for the regulation market")
 
     p = add("simulate", _cmd_simulate, "sample one trajectory and integrate the SoC")
-    p.add_argument("--xr", type=float, default=None, help="bid in kW (default: max feasible)")
-    p.add_argument("--xb", type=float, default=None,
+    p.add_argument("--xr", type=_finite, default=None, help="bid in kW (default: max feasible)")
+    p.add_argument("--xb", type=_finite, default=None,
                    help="purchase in kW (default: implied by the bid)")
     p.add_argument("--n-steps", type=_count(1), default=None)
     p.add_argument("--seed", type=_count(0), default=None)
@@ -474,13 +479,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AssumptionError, TargetMismatchError,
-            DegenerateSignalError, SingularFitError, ValueError) as exc:
-        # ValueError covers malformed data files and bad field values; the
-        # readers raise it with line-numbered messages meant for the user.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # Every input error of the package is a ValueError: a config field, a
+        # bad value, or a data file's line-numbered message meant for the user.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleProblemError as exc:

@@ -7,6 +7,7 @@ number, and timestamps must be uniformly spaced.  No imputation.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -155,9 +156,11 @@ def _parse_timestamp(token: str, lineno: int) -> datetime:
 
 def _parse_float(token: str, lineno: int, column: str) -> float:
     try:
-        return float(token)
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: bad {column} value {token!r}") from exc
+        if math.isfinite(value := float(token)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"line {lineno}: bad {column} value {token!r}")
 
 
 def _uniform_dt_hours(stamps: list[datetime]) -> float:

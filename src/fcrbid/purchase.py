@@ -6,7 +6,8 @@ This module evaluates that coupling:
 
 * :func:`expected_charge_rate` -- mean drift of the state of charge for a
   given purchase and bid;
-* :func:`purchase_power` -- the purchase required to hold the drift target;
+* :func:`purchase_power` -- the purchase required to hold the drift target,
+  and :func:`purchase_power_many`, the same at every bid of an array;
 * :func:`purchase_slopes` -- one-sided derivatives of the purchase with
   respect to the bid;
 * :func:`asymptotic_slope` / :func:`slope_bounds` -- the marginal purchase
@@ -17,8 +18,8 @@ This module evaluates that coupling:
 
 The rate is 1-homogeneous in (purchase, bid): rate(xb, xr) = xr * g(xb / xr)
 with g(u) = eta_plus * u - drain * scdf(-u), strictly increasing in u.  At a
-given bid the purchase and its one-sided slopes come from one Newton inverse
-of g.  The bid searches go the other way: at a purchase per unit of bid u the
+given bid the purchase and its slopes come from one scalar Newton inverse of
+g.  The bid searches go the other way: at a purchase per unit of bid u the
 bid drift_target / g(u), the purchase bid * u and the slopes are explicit.
 
 Powers are in kW, energies in kWh; deviations are normalised to [-1, 1].
@@ -114,8 +115,8 @@ def expected_charge_rate(xb, xr, eff: EfficiencyPair, dist: DeviationDistributio
     return np.where(active, with_reg, no_reg)
 
 
-def _inverse_unit_rate(v, eff: EfficiencyPair, dist: DeviationDistribution):
-    """Purchase per unit of bid, u, solving g(u) = v; ``v`` a float or an array.
+def _inverse_unit_rate(v: float, eff: EfficiencyPair, dist: DeviationDistribution) -> float:
+    """Purchase per unit of bid, u, solving g(u) = v.
 
     g(u) = eta_plus * u - drain * scdf(-u) is increasing and concave, with
     g'(u) = eta_plus + drain * F(-u); either one-sided CDF limit is a
@@ -126,13 +127,13 @@ def _inverse_unit_rate(v, eff: EfficiencyPair, dist: DeviationDistribution):
     covariant under power-of-two rescaling of the bid and the target.
     """
     eta_p, drain = eff.eta_plus, eff.drain
-    u = np.maximum(v / eta_p, eff.eta_minus * v)
+    u = max(v / eta_p, eff.eta_minus * v)
     for _ in range(BISECT_MAX_ITER):
         rate = eta_p * u - drain * dist.scdf(-u)
         new = u - (rate - v) / (eta_p + drain * dist.cdf(-u))
-        if not (new > u).any():
+        if not new > u:
             break
-        u = np.maximum(u, new)
+        u = new
     return u
 
 
@@ -151,7 +152,7 @@ def asymptotic_slope(eff: EfficiencyPair, dist: DeviationDistribution) -> float:
         raise AssumptionError(
             "deviation law too heavy for the efficiency: no slope below one"
         )
-    return float(_inverse_unit_rate(0.0, eff, dist))
+    return _inverse_unit_rate(0.0, eff, dist)
 
 
 def slope_bounds(eff: EfficiencyPair, mad: float) -> tuple[float, float]:
@@ -204,23 +205,13 @@ def purchase_power(xr: float, ctx: PurchaseContext) -> float:
         return ctx.base_purchase
     if ctx.drift_target == 0.0 or xr > XR_ASYMPTOTE:
         return ctx.slope * xr
-    return xr * float(_inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist))
+    return xr * _inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist)
 
 
 def purchase_power_many(xr, ctx: PurchaseContext) -> np.ndarray:
-    """Vectorised :func:`purchase_power` over a grid of bids."""
+    """:func:`purchase_power` at every bid of an array, in its shape."""
     xr = np.asarray(xr, dtype=float)
-    if np.any(xr < 0.0):
-        raise ValueError("bids must be nonnegative")
-    if ctx.drift_target == 0.0:
-        return ctx.slope * xr
-    out = np.full(xr.shape, ctx.base_purchase)
-    big = xr > XR_ASYMPTOTE
-    out[big] = ctx.slope * xr[big]
-    todo = (xr > 0.0) & ~big
-    x = xr[todo]
-    out[todo] = x * _inverse_unit_rate(ctx.drift_target / x, ctx.eff, ctx.dist)
-    return out
+    return np.array([purchase_power(x, ctx) for x in np.ravel(xr)], dtype=float).reshape(xr.shape)
 
 
 def purchase_slopes(xr: float, ctx: PurchaseContext) -> tuple[float, float]:
@@ -239,7 +230,7 @@ def purchase_slopes(xr: float, ctx: PurchaseContext) -> tuple[float, float]:
         return ctx.slope, ctx.slope
     if xr == 0.0:
         return 0.0, 0.0
-    u = float(_inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist))
+    u = _inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist)
     return _unit_point(u, ctx)[2:]
 
 

@@ -1,8 +1,9 @@
-"""Threshold searches for the bids: settling a closed-form or Newton
-estimate onto the last float a predicate admits, and the stationary
-candidate's bisections.  Bisection runs until the bracket collapses to
-adjacent floats (at most 200 halvings), which keeps every result exactly
-covariant under power-of-two rescaling of the inputs.
+"""Threshold searches for the bids.  Every bid is settled by
+:func:`last_true` onto the last float a predicate admits, from a guess: a
+closed form, a Newton estimate, or the bids of the stationary candidate's
+bisection in u.  Bisection runs until the bracket collapses to adjacent
+floats (at most 200 halvings), which keeps every result exactly covariant
+under power-of-two rescaling of the inputs.
 """
 
 import functools
@@ -35,17 +36,6 @@ def expand_until(pred, x):
             return x
         x *= 2.0
     return None
-
-
-def threshold_via(pred_u, lo, hi, to_x, pred_x, toward):
-    """Threshold of ``pred_x``: bisect ``pred_u`` over (lo, hi) in u, then ``pred_x``
-    between the images x = to_x(u) of the final bracket (one float of u may
-    span many of x), then step x toward ``toward`` while rounding fails ``pred_x``."""
-    lo, hi = bisect_threshold(pred_u, lo, hi)
-    x = bisect_threshold(pred_x, to_x(lo), to_x(hi))[1]
-    while not pred_x(x):
-        x = math.nextafter(x, toward)
-    return x
 
 
 def last_true(pred, lo, hi):

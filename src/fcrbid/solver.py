@@ -24,7 +24,7 @@ from .distributions import DeviationDistribution
 from .errors import AssumptionError
 from .feasible import BatterySpec, RegulationContract, context_for, max_feasible_bid
 from .purchase import PurchaseContext, _unit_bid, _unit_point, purchase_power, purchase_slopes
-from .rootfind import expand_until, last_true, threshold_via
+from .rootfind import bisect_threshold, expand_until, last_true
 
 __all__ = [
     "MarketPrices",
@@ -115,18 +115,18 @@ def _solve_with_ratio(bat: BatterySpec, con: RegulationContract, ctx: PurchaseCo
         return purchase_slopes(x, ctx)[1] >= ratio_at(x, purchase_power(x, ctx))
 
     if ctx.drift_target == 0.0:
-        guess = min(balanced_root, xr_max)
-        xr = math.nextafter(last_true(lambda x: not reaches(x), guess, guess), math.inf)
-        return xr, purchase_power(xr, ctx), "stationary", xr_max
+        lo = hi = min(balanced_root, xr_max)
+    else:
+        def reaches_at_unit(u: float) -> bool:
+            x, xb, _, right = _unit_point(u, ctx)
+            return right >= ratio_at(x, xb)
 
-    def reaches_at_unit(u: float) -> bool:
-        x, xb, _, right = _unit_point(u, ctx)
-        return right >= ratio_at(x, xb)
-
-    # Toward zero bid |u| grows and the right slope vanishes below the ratio.
-    far = expand_until(lambda u: not reaches_at_unit(u), math.copysign(1.0, ctx.drift_target))
-    xr = threshold_via(reaches_at_unit, far, xb_max / xr_max,
-                       lambda u: min(_unit_bid(u, ctx)[0], xr_max), reaches, xr_max)
+        # Toward zero bid |u| grows and the right slope vanishes below the ratio.
+        far = expand_until(lambda u: not reaches_at_unit(u), math.copysign(1.0, ctx.drift_target))
+        # One float of u may span many of the bid: settle on the bids of the final bracket.
+        lo, hi = (min(_unit_bid(u, ctx)[0], xr_max)
+                  for u in bisect_threshold(reaches_at_unit, far, xb_max / xr_max))
+    xr = math.nextafter(last_true(lambda x: not reaches(x), lo, hi), math.inf)
     return xr, purchase_power(xr, ctx), "stationary", xr_max
 
 

@@ -4,12 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fcrbid
 from fcrbid import (
     BatterySpec,
     EfficiencyPair,
@@ -237,6 +241,20 @@ def test_sweep_slope_bad_grid(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("grid", ["nan:1:0.1", "0.5:inf:0.1", "-inf:1:0.1", "0:1:inf"])
+def test_sweep_slope_non_finite_grid_exits_2(grid):
+    """A grid with a non-finite value is rejected instead of stepping without
+    end; the command runs in its own interpreter, so a loop fails on the
+    timeout rather than hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fcrbid.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fcrbid.cli", "sweep-slope", f"--eta-grid={grid}", "--mad", "0.25"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: bad grid {grid!r}")
+
+
 # ---------------------------------------------------------------------------
 # profit
 
@@ -414,6 +432,26 @@ def test_fit_malformed_data_file(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "--frequency", str(path))
     assert code == 2
     assert err.startswith("error: line 2: bad hz")
+
+
+@pytest.mark.parametrize("flag,rows,message", [
+    ("--prices", ["timestamp,pb_cts_per_kwh,pa_cts_per_kw_h", "2024-01-01T00:00:00,5.0,nan",
+                  "2024-01-01T01:00:00,6.0,0.8"], "line 2: bad pa_cts_per_kw_h value 'nan'"),
+    ("--prices", ["timestamp,pb_cts_per_kwh", "2024-01-01T00:00:00,5.0",
+                  "2024-01-01T01:00:00,-inf"], "line 3: bad pb_cts_per_kwh value '-inf'"),
+    ("--frequency", ["timestamp,hz", "2024-01-01T00:00:00,inf", "2024-01-01T01:00:00,50.0"],
+     "line 2: bad hz value 'inf'"),
+    ("--elastic-energy", ["volume_kw,price_cts", "100,5.0", "400,nan", "900,4.8"],
+     "line 3: bad row"),
+])
+def test_fit_non_finite_cell_exits_2(tmp_path, capsys, flag, rows, message):
+    """A non-finite cell is a bad value on its line, not a NaN in the report."""
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "fit", flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +656,25 @@ def test_bad_count_flag_exits_2(config, capsys, argv):
     assert exc.value.code == 2
     assert captured.out == ""
     assert argv[1] in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--max-xr", "nan", "--format", "csv"),
+    ("bounds", "--max-xr", "inf", "--format", "csv"),
+    ("simulate", "--xr", "nan"),
+    ("simulate", "--xb=-inf"),
+    ("profit", "--horizons", "inf"),
+    ("profit", "--horizons", "4,nan"),
+])
+def test_non_finite_float_flag_exits_2(config, capsys, argv):
+    """A non-finite float flag is rejected by the parser, naming the flag,
+    before any report is written."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", config()])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {argv[1].split('=')[0]}: expected a finite number" in captured.err
 
 
 def test_version_flag(capsys):

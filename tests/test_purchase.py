@@ -278,11 +278,16 @@ def test_purchase_beyond_the_asymptote_switch():
 
 
 def test_purchase_many_matches_scalar():
+    """Bit for bit, over the four laws, both target signs, zero bid and a bid
+    beyond the asymptote switch, in the shape of the input."""
+    grid = np.array([[0.0, 0.3, 1.0, 4.0], [7.7, 25.0, 1e6, 2e12]])
+    for law in (logistic(0.3),) + FOUR_LAWS:
+        for target in (0.25, -0.25):
+            ctx = ctx_for(0.9, 0.8, law, target)
+            got = purchase_power_many(grid, ctx)
+            want = [[purchase_power(float(x), ctx) for x in row] for row in grid]
+            np.testing.assert_array_equal(got, want)
     ctx = ctx_for(0.9, 0.8, logistic(0.3), 0.25)
-    grid = np.array([0.0, 0.3, 1.0, 4.0, 25.0, 2e12])
-    got = purchase_power_many(grid, ctx)
-    want = [purchase_power(float(x), ctx) for x in grid]
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     with pytest.raises(ValueError):
         purchase_power_many(np.array([-1.0]), ctx)
     with pytest.raises(ValueError):

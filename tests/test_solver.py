@@ -406,6 +406,10 @@ def test_unit_searches_match_the_bid_space_reference():
                 cb0, cbd, ca0, cad = prices.coefficients
                 level = cb0 + 2.0 * cbd * purchase_power(sol.xr_kw, ctx)
                 assert purchase_slopes(sol.xr_kw, ctx)[1] >= (ca0 - 2.0 * cad * sol.xr_kw) / level
+                # ... and fails one float below: the bid is the first that reaches the ratio.
+                below = math.nextafter(sol.xr_kw, 0.0)
+                level = cb0 + 2.0 * cbd * purchase_power(below, ctx)
+                assert purchase_slopes(below, ctx)[1] < (ca0 - 2.0 * cad * below) / level, (i, tag)
             candidates[tag].add(candidate)
     assert candidates["unbalanced"] == {"boundary", "stationary"}
     assert candidates["balanced"] == {"zero", "boundary", "stationary"}
