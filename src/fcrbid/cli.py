@@ -117,6 +117,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ConfigError(f"bad grid {text!r}; expected start:stop:step") from None
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
         raise ConfigError(f"bad grid {text!r}; need finite values, step > 0 and stop >= start")
+    if (stop - start) / step >= 1e6:
+        raise ConfigError(f"bad grid {text!r}; too large, more than 1000000 points")
     values = []
     k = 0
     while True:
@@ -479,10 +481,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # Every input error of the package is a ValueError: a config field, a
         # bad value, or a data file's line-numbered message meant for the user.
-        print(f"error: {exc}", file=sys.stderr)
+        # A MemoryError is an input that asks for more than the machine has.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except InfeasibleProblemError as exc:
         _emit_json(

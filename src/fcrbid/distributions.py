@@ -4,8 +4,9 @@ The regulation signal is modelled as a stationary random deviation on
 [-1, 1], symmetric about zero.  Every family exposes the cumulative
 distribution function, its antiderivative anchored at -1 (the
 super-cumulative distribution function, ``scdf``) and seeded sampling.
-The mean absolute deviation ``mad`` acts as the single shape parameter;
-all families satisfy mad = 2 * scdf(0).
+``cdf`` and ``scdf`` have one float implementation; arrays map it.  The
+mean absolute deviation ``mad`` acts as the single shape parameter; all
+families satisfy mad = 2 * scdf(0).
 
 Supported families
 ------------------
@@ -67,12 +68,11 @@ class DeviationDistribution:
     kind: str
     mad: float
     theta: float | None = None
-    # Discrete machinery: atom locations (ascending) and padded prefix sums
-    # of the masses, so the piecewise-linear scdf is one binary search.
+    # Discrete machinery: atom locations (ascending) and padded prefix sums of
+    # the masses for the sampler; as float tuples, with the prefix sums of
+    # mass * location, they make the piecewise-linear scdf one binary search.
     _locs: np.ndarray | None = field(default=None, repr=False)
     _cum: np.ndarray | None = field(default=None, repr=False)
-    _cum_wx: np.ndarray | None = field(default=None, repr=False)
-    # The same three as float tuples, for scalar lookups without NumPy.
     _tables: tuple | None = field(default=None, repr=False)
 
     @property
@@ -80,22 +80,12 @@ class DeviationDistribution:
         return self.theta is None
 
     def cdf(self, z):
-        """Right-continuous CDF.  Accepts a float or an array."""
-        scalar = isinstance(z, float) or np.ndim(z) == 0
+        """Right-continuous CDF; an array maps it per element."""
+        if not (isinstance(z, float) or np.ndim(z) == 0):
+            return np.vectorize(self.cdf, otypes=[float])(z)
         if self.theta is not None:
-            if scalar:
-                return _sigmoid(self.theta * float(z))
-            t = self.theta * np.asarray(z, dtype=float)
-            out = np.empty_like(t)
-            pos = t >= 0.0
-            out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-            e = np.exp(t[~pos])
-            out[~pos] = e / (1.0 + e)
-            return out
-        if scalar:
-            return self._tables[1][bisect_right(self._tables[0], float(z))]
-        k = np.searchsorted(self._locs, np.asarray(z, dtype=float), side="right")
-        return self._cum[k]
+            return _sigmoid(self.theta * float(z))
+        return self._tables[1][bisect_right(self._tables[0], float(z))]
 
     def cdf_pair(self, z: float) -> tuple[float, float]:
         """Left and right limits of the CDF at ``z`` (equal when continuous)."""
@@ -107,29 +97,22 @@ class DeviationDistribution:
         return cum[bisect_left(locs, z)], cum[bisect_right(locs, z)]
 
     def scdf(self, z):
-        """Antiderivative of the CDF with scdf(-1) = 0.
+        """Antiderivative of the CDF with scdf(-1) = 0; an array maps it per element.
 
         Convex, nondecreasing, and equal to max(0, z) outside the support.
         Satisfies the symmetry identity scdf(z) = scdf(-z) + z.
         """
-        scalar = isinstance(z, float) or np.ndim(z) == 0
+        if not (isinstance(z, float) or np.ndim(z) == 0):
+            return np.vectorize(self.scdf, otypes=[float])(z)
+        z = float(z)
         if self.theta is not None:
             th = self.theta
-            if scalar:
-                z = float(z)
-                if z > 0.0:
-                    return z + math.log1p(math.exp(-th * z)) / th
-                return math.log1p(math.exp(th * z)) / th
-            z = np.asarray(z, dtype=float)
-            return np.where(z > 0.0, z, 0.0) + np.log1p(np.exp(-th * np.abs(z))) / th
-        if scalar:
-            z = float(z)
-            locs, cum, cum_wx = self._tables
-            k = bisect_right(locs, z)
-            return cum[k] * z - cum_wx[k]
-        z = np.asarray(z, dtype=float)
-        k = np.searchsorted(self._locs, z, side="right")
-        return self._cum[k] * z - self._cum_wx[k]
+            if z > 0.0:
+                return z + math.log1p(math.exp(-th * z)) / th
+            return math.log1p(math.exp(th * z)) / th
+        locs, cum, cum_wx = self._tables
+        k = bisect_right(locs, z)
+        return cum[k] * z - cum_wx[k]
 
     def sample(self, seed, n: int) -> np.ndarray:
         """Draw ``n`` iid deviations with a fresh generator seeded by ``seed``."""
@@ -161,7 +144,7 @@ def _discrete(kind: str, mad: float, locs, mass) -> DeviationDistribution:
     locs, mass = locs[keep], mass[keep]
     cum = np.concatenate(([0.0], np.cumsum(mass)))
     cum_wx = np.concatenate(([0.0], np.cumsum(mass * locs)))
-    return DeviationDistribution(kind, mad, _locs=locs, _cum=cum, _cum_wx=cum_wx, _tables=tuple(
+    return DeviationDistribution(kind, mad, _locs=locs, _cum=cum, _tables=tuple(
         tuple(a.tolist()) for a in (locs, cum, cum_wx)))
 
 

@@ -83,7 +83,8 @@ def expected_charge_rate(xb, xr, eff: EfficiencyPair, dist: DeviationDistributio
     xb : float or array
         Baseline purchase power (may be negative: net selling).
     xr : float or array
-        Regulation bid, nonnegative.
+        Regulation bid, nonnegative.  Arrays are broadcast with ``xb`` and
+        mapped through the float evaluation, element by element.
     eff, dist
         Efficiencies and deviation law of the regulation signal.
 
@@ -97,22 +98,15 @@ def expected_charge_rate(xb, xr, eff: EfficiencyPair, dist: DeviationDistributio
     -----
     Strictly increasing in ``xb`` and nonincreasing in ``xr``.
     """
-    if np.ndim(xb) == 0 and np.ndim(xr) == 0:
-        xb, xr = float(xb), float(xr)
-        if xr < 0.0:
-            raise ValueError("bid must be nonnegative")
-        if xr == 0.0:
-            return eff.eta_plus * xb - eff.drain * max(-xb, 0.0)
-        return eff.eta_plus * xb - eff.drain * xr * dist.scdf(-xb / xr)
-    xb = np.asarray(xb, dtype=float)
-    xr = np.asarray(xr, dtype=float)
-    if np.any(xr < 0.0):
+    if np.ndim(xb) or np.ndim(xr):
+        rate = np.vectorize(expected_charge_rate, otypes=[float], excluded={2, 3})
+        return rate(xb, xr, eff, dist)
+    xb, xr = float(xb), float(xr)
+    if xr < 0.0:
         raise ValueError("bid must be nonnegative")
-    active = xr > 0.0
-    safe_xr = np.where(active, xr, 1.0)
-    with_reg = eff.eta_plus * xb - eff.drain * xr * dist.scdf(-xb / safe_xr)
-    no_reg = eff.eta_plus * xb - eff.drain * np.maximum(-xb, 0.0)
-    return np.where(active, with_reg, no_reg)
+    if xr == 0.0:
+        return eff.eta_plus * xb - eff.drain * max(-xb, 0.0)
+    return eff.eta_plus * xb - eff.drain * xr * dist.scdf(-xb / xr)
 
 
 def _inverse_unit_rate(v: float, eff: EfficiencyPair, dist: DeviationDistribution) -> float:

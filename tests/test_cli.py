@@ -255,6 +255,34 @@ def test_sweep_slope_non_finite_grid_exits_2(grid):
     assert proc.stderr.startswith(f"error: bad grid {grid!r}")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep-slope", "--eta-grid", "0:1:1e-10", "--mad", "0.25"],
+     "error: bad grid '0:1:1e-10'; too large"),
+    (["bounds", "--grid", "1000000000"], "error: "),
+    (["simulate", "--n-steps", "10000000000"], "error: "),
+], ids=["sweep-slope", "bounds", "simulate"])
+def test_oversized_grid_or_size_exits_2(config, argv, message):
+    """A grid or size too large to build exits 2 with a message, not a
+    MemoryError traceback.  Each command runs in its own interpreter under a
+    1 GiB address-space limit, so a failure cannot use up the machine."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    if argv[0] != "sweep-slope":
+        argv = [argv[0], "--config", config(), *argv[1:]]
+    # one BLAS thread, so the limit bounds the command, not thread stacks
+    env = dict(os.environ, PYTHONPATH=str(Path(fcrbid.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "fcrbid.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=60, preexec_fn=limit)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # profit
 

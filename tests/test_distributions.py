@@ -151,10 +151,11 @@ def test_scdf_outside_support():
 
 
 def test_array_and_scalar_paths_agree():
-    """A float goes through plain-Python lookups; for the discrete laws they
-    return exactly what the array path returns, at every atom, at +-0.0 and
-    at other points, and the left CDF limit at z is the CDF at the float
-    below z.  A NumPy scalar or a 0-d array takes the float path."""
+    """An array maps the float evaluation, so every law returns exactly the
+    float results element by element: for the discrete laws at every atom,
+    at +-0.0 and at other points, where the left CDF limit at z is also the
+    CDF at the float below z.  A NumPy scalar or a 0-d array takes the float
+    path."""
     z = np.concatenate((np.linspace(-1.1, 1.1, 57), [0.0, -0.0],
                         np.random.default_rng(6).uniform(-1.2, 1.2, 200)))
     rng = np.random.default_rng(5)
@@ -168,15 +169,11 @@ def test_array_and_scalar_paths_agree():
             assert all(type(v) is float for v in (*got[:2], *got[2]))
             for same in (np.float64(zi), np.array(zi)):
                 assert (d.scdf(same), d.cdf(same), d.cdf_pair(same)) == got
-    # the logistic paths go through numpy and math kernels that may differ
-    # in the last bit
-    d = logistic(0.3)
-    np.testing.assert_allclose(
-        d.scdf(z), [d.scdf(float(zi)) for zi in z], rtol=5e-16, atol=0.0)
-    np.testing.assert_allclose(
-        d.cdf(z), [d.cdf(float(zi)) for zi in z], rtol=5e-16, atol=0.0)
-    for zi in z.tolist():
-        assert (d.scdf(np.float64(zi)), d.cdf(np.array(zi))) == (d.scdf(zi), d.cdf(zi))
+    for d in (logistic(0.0816), logistic(0.3), logistic(1.0)):
+        assert d.scdf(z).tolist() == [d.scdf(zi) for zi in z.tolist()], d.mad
+        assert d.cdf(z).tolist() == [d.cdf(zi) for zi in z.tolist()], d.mad
+        for zi in z.tolist():
+            assert (d.scdf(np.float64(zi)), d.cdf(np.array(zi))) == (d.scdf(zi), d.cdf(zi))
 
 
 def test_sampling_is_deterministic():

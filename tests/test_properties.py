@@ -146,3 +146,26 @@ def test_unbalanced_max_bid_is_the_last_deliverable_float(instance):
     lower, upper = envelopes(above, bat, con)
     assert xmax == envelope_crossing(bat, con) or not (
         lower <= purchase_power(above, ctx) <= upper)
+
+
+@st.composite
+def deviation_laws(draw):
+    """Any of the four laws with a random mad; an empirical law from up to
+    1000 random samples."""
+    mad = draw(st.floats(1e-6, 1.0))
+    kind = draw(st.sampled_from([logistic, two_point_lower, three_point_upper, empirical]))
+    if kind is empirical:
+        rng = np.random.default_rng(draw(SEEDS))
+        return empirical(np.clip(rng.normal(0.0, mad, draw(st.integers(1, 1000))), -1.0, 1.0))
+    return kind(mad)
+
+
+@PROPERTY
+@given(deviation_laws(), st.floats(-1.5, 1.5))
+def test_scdf_symmetry_identity(law, z):
+    """scdf(z) - scdf(-z) = z up to rounding: for the logistic one unit in
+    the last place of scdf(|z|) < 2, which the bound reaches near |z| = 1;
+    for a discrete law one such unit per atom, because its prefix sums
+    accumulate rounding."""
+    steps = 1 if law.theta is not None else law._locs.size
+    assert abs(law.scdf(z) - law.scdf(-z) - z) <= steps * 2.0**-52 * max(1.0, abs(z))

@@ -86,14 +86,15 @@ def test_expected_rate_rejects_negative_bid():
 
 
 def test_expected_rate_array_matches_scalar():
+    """Arrays map the float evaluation, bid 0 included, bit for bit."""
     eff = EfficiencyPair(0.85, 0.7)
-    d = logistic(0.12)
     xb = np.linspace(-2.0, 2.0, 21)
     xr = np.linspace(0.0, 3.0, 21)
-    got = expected_charge_rate(xb, xr, eff, d)
-    for i in range(xb.size):
-        want = expected_charge_rate(float(xb[i]), float(xr[i]), eff, d)
-        assert math.isclose(got[i], want, rel_tol=1e-14, abs_tol=1e-15)
+    for d in (logistic(0.12), logistic(0.3), two_point_lower(0.3), three_point_upper(0.4),
+              empirical([0.5, -0.2, 0.05])):
+        got = expected_charge_rate(xb, xr, eff, d)
+        want = [expected_charge_rate(b, r, eff, d) for b, r in zip(xb.tolist(), xr.tolist())]
+        assert got.tolist() == want, d.kind
 
 
 def test_expected_rate_monotone():
