@@ -62,6 +62,10 @@ from .solver import solve_elastic, solve_inelastic  # noqa: F401  traced by perf
 
 __all__ = ["main"]
 
+# Most points a grid, or steps a trajectory, may have; a larger request is
+# rejected before anything is allocated.
+MAX_POINTS = 10**6
+
 
 def _emit(text: str, out: str | None) -> None:
     if out:
@@ -90,12 +94,14 @@ def _fmt(value):
     return value
 
 
-def _count(floor: int):
-    """argparse type for an integer flag of at least ``floor``."""
+def _count(floor: int, ceiling: float = math.inf):
+    """argparse type for an integer flag in [``floor``, ``ceiling``]."""
     def count(text: str) -> int:
         value = int(text)
         if value < floor:
             raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        if value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be at most {ceiling}, got {value}")
         return value
     return count
 
@@ -117,8 +123,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ConfigError(f"bad grid {text!r}; expected start:stop:step") from None
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
         raise ConfigError(f"bad grid {text!r}; need finite values, step > 0 and stop >= start")
-    if (stop - start) / step >= 1e6:
-        raise ConfigError(f"bad grid {text!r}; too large, more than 1000000 points")
+    if (stop - start) / step >= MAX_POINTS:
+        raise ConfigError(f"bad grid {text!r}; too large, more than {MAX_POINTS} points")
     values = []
     k = 0
     while True:
@@ -430,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("analytic", _cmd_analytic, "closed forms for a balanced target")
 
     p = add("bounds", _cmd_bounds, "purchase curve with envelopes over a bid grid")
-    p.add_argument("--grid", type=_count(1), default=101, help="number of grid points")
+    p.add_argument("--grid", type=_count(1, MAX_POINTS), default=101, help="number of grid points")
     p.add_argument("--max-xr", type=_finite, default=None, help="grid upper end in kW")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -461,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xr", type=_finite, default=None, help="bid in kW (default: max feasible)")
     p.add_argument("--xb", type=_finite, default=None,
                    help="purchase in kW (default: implied by the bid)")
-    p.add_argument("--n-steps", type=_count(1), default=None)
+    p.add_argument("--n-steps", type=_count(1, MAX_POINTS), default=None)
     p.add_argument("--seed", type=_count(0), default=None)
     p.add_argument("--no-cap", action="store_true", help="skip budget capping")
     p.add_argument("--trajectory-out", help="also write the trajectory CSV here")
@@ -470,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=_count(100), default=None,
                    help="Monte-Carlo paths (default: the config's solver.n_paths)")
     p.add_argument("--seed", type=_count(0), default=None)
-    p.add_argument("--n-steps", type=_count(1), default=48)
+    p.add_argument("--n-steps", type=_count(1, MAX_POINTS), default=48)
     p.add_argument("--n-random", type=_count(0), default=1000)
 
     return parser

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .distributions import DeviationDistribution, build_distribution
+from .distributions import MAD_LAWS, DeviationDistribution, build_distribution
 from .econ import InvestmentSpec
 from .errors import ConfigError
 from .feasible import BatterySpec, RegulationContract
@@ -161,9 +161,10 @@ def _distribution(sec: dict, base_dir: Path) -> DeviationDistribution:
             raise ConfigError(
                 "distribution: empirical kind needs samples or samples_path"
             )
-    with _section("distribution"):
-        if samples is not None:
+    if kind not in MAD_LAWS:
+        with _section("distribution"):
             return build_distribution(kind, samples=samples)
+    with _section("distribution.mad"):
         return build_distribution(kind, mad=_num(sec, "mad", "distribution"))
 
 

@@ -151,7 +151,11 @@ def _discrete(kind: str, mad: float, locs, mass) -> DeviationDistribution:
 def logistic(mad: float) -> DeviationDistribution:
     """Logistic deviation law calibrated to the given mean absolute deviation."""
     mad = _check_mad(mad)
-    return DeviationDistribution("logistic", mad, theta=2.0 * _LN2 / mad)
+    theta = 2.0 * _LN2 / mad
+    if theta == math.inf:
+        raise ValueError(f"mean absolute deviation {mad} is too small for the logistic law: "
+                         "its scale 2 ln 2 / mad overflows")
+    return DeviationDistribution("logistic", mad, theta=theta)
 
 
 def two_point_lower(mad: float) -> DeviationDistribution:
@@ -190,14 +194,15 @@ def empirical(samples) -> DeviationDistribution:
     return _discrete("empirical", mad, locs, mass)
 
 
+# The laws set by their mean absolute deviation alone, by kind.
+MAD_LAWS = {"logistic": logistic, "two_point_lower": two_point_lower,
+            "three_point_upper": three_point_upper}
+
+
 def build_distribution(kind: str, mad: float | None = None, samples=None) -> DeviationDistribution:
     """Factory used by configuration loading."""
-    if kind == "logistic":
-        return logistic(mad)
-    if kind == "two_point_lower":
-        return two_point_lower(mad)
-    if kind == "three_point_upper":
-        return three_point_upper(mad)
+    if kind in MAD_LAWS:
+        return MAD_LAWS[kind](mad)
     if kind == "empirical":
         if samples is None:
             raise ValueError("empirical distribution requires samples")

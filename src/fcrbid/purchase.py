@@ -19,8 +19,9 @@ This module evaluates that coupling:
 The rate is 1-homogeneous in (purchase, bid): rate(xb, xr) = xr * g(xb / xr)
 with g(u) = eta_plus * u - drain * scdf(-u), strictly increasing in u.  At a
 given bid the purchase and its slopes come from one scalar Newton inverse of
-g.  The bid searches go the other way: at a purchase per unit of bid u the
-bid drift_target / g(u), the purchase bid * u and the slopes are explicit.
+g.  The stationary bid's search goes the other way: at a purchase per unit
+of bid u the bid drift_target / g(u), the purchase bid * u and the slopes
+are explicit, and under a discrete law g is affine between atoms.
 
 Powers are in kW, energies in kWh; deviations are normalised to [-1, 1].
 """
@@ -225,7 +226,7 @@ def purchase_slopes(xr: float, ctx: PurchaseContext) -> tuple[float, float]:
     if xr == 0.0:
         return 0.0, 0.0
     u = _inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist)
-    return _unit_point(u, ctx)[2:]
+    return _unit_slopes(u, ctx)
 
 
 def _unit_bid(u: float, ctx: PurchaseContext) -> tuple[float, float, float]:
@@ -237,14 +238,14 @@ def _unit_bid(u: float, ctx: PurchaseContext) -> tuple[float, float, float]:
     return xr, xr * u, phi
 
 
-def _unit_point(u: float, ctx: PurchaseContext) -> tuple[float, float, float, float]:
-    """:func:`_unit_bid`'s bid and purchase, and the one-sided purchase slopes (left, right)."""
-    xr, xb, phi = _unit_bid(u, ctx)
+def _unit_slopes(u: float, ctx: PurchaseContext) -> tuple[float, float]:
+    """One-sided purchase slopes (left, right) at purchase per unit of bid ``u`` (unbalanced target)."""
+    phi = ctx.dist.scdf(-u)
     f_left, f_right = ctx.dist.cdf_pair(-u)
     eta_p, drain = ctx.eff.eta_plus, ctx.eff.drain
     s1 = drain * (phi + u * f_left) / (eta_p + drain * f_left)
     s2 = drain * (phi + u * f_right) / (eta_p + drain * f_right)
-    return xr, xb, min(s1, s2), max(s1, s2)
+    return min(s1, s2), max(s1, s2)
 
 
 def purchase_bounds(xr, ctx: PurchaseContext):

@@ -1,9 +1,9 @@
 """Threshold searches for the bids.  Every bid is settled by
 :func:`last_true` onto the last float a predicate admits, from a guess: a
-closed form, a Newton estimate, or the bids of the stationary candidate's
-bisection in u.  Bisection runs until the bracket collapses to adjacent
-floats (at most 200 halvings), which keeps every result exactly covariant
-under power-of-two rescaling of the inputs.
+closed form, a kink or line root of a discrete law's piece, or the bids at
+the ends of a Newton bracket in u.  Bisection runs until the bracket
+collapses to adjacent floats (at most 200 halvings), which keeps every
+result exactly covariant under power-of-two rescaling of the inputs.
 """
 
 import functools
@@ -27,15 +27,6 @@ def bisect_threshold(pred, lo, hi):
         else:
             lo = mid
     return lo, hi
-
-
-def expand_until(pred, x):
-    """First of x, 2x, 4x, ... at which ``pred`` holds; None if 200 doublings fail."""
-    for _ in range(BISECT_MAX_ITER):
-        if pred(x):
-            return x
-        x *= 2.0
-    return None
 
 
 def last_true(pred, lo, hi):

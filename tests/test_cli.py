@@ -258,13 +258,18 @@ def test_sweep_slope_non_finite_grid_exits_2(grid):
 @pytest.mark.parametrize("argv,message", [
     (["sweep-slope", "--eta-grid", "0:1:1e-10", "--mad", "0.25"],
      "error: bad grid '0:1:1e-10'; too large"),
-    (["bounds", "--grid", "1000000000"], "error: "),
-    (["simulate", "--n-steps", "10000000000"], "error: "),
-], ids=["sweep-slope", "bounds", "simulate"])
+    (["bounds", "--grid", "1000000000"],
+     "fcrbid bounds: error: argument --grid: must be at most 1000000, got 1000000000"),
+    (["simulate", "--n-steps", "10000000000"],
+     "fcrbid simulate: error: argument --n-steps: must be at most 1000000, got 10000000000"),
+    (["verify", "--n-steps", "1000001"],
+     "fcrbid verify: error: argument --n-steps: must be at most 1000000, got 1000001"),
+], ids=["sweep-slope", "bounds", "simulate", "verify"])
 def test_oversized_grid_or_size_exits_2(config, argv, message):
-    """A grid or size too large to build exits 2 with a message, not a
-    MemoryError traceback.  Each command runs in its own interpreter under a
-    1 GiB address-space limit, so a failure cannot use up the machine."""
+    """A grid or size above the CLI's cap of 10^6 exits 2 naming the flag,
+    before anything is allocated.  Each command runs in its own interpreter
+    under a 1 GiB address-space limit, so a failure cannot use up the
+    machine."""
     resource = pytest.importorskip("resource")
 
     def limit():
@@ -620,6 +625,18 @@ def test_field_error_names_its_path_once(config, capsys, section, key,
     assert code == 2
     assert out == ""
     assert err == f"error: {section}.{key}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+def test_logistic_mad_too_small_exits_2(config, capsys, command):
+    """A logistic mad whose scale 2 ln 2 / mad overflows is rejected with its
+    field path, instead of solving on NaN law values or failing at emit."""
+    doc = base_doc()
+    doc["distribution"]["mad"] = 1e-310
+    code, out, err = run(capsys, command, "--config", config(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: distribution.mad: mean absolute deviation 1e-310 is too small")
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "verify"])

@@ -300,3 +300,17 @@ def test_mad_domain_is_checked():
             with pytest.raises(ValueError):
                 factory(bad)
     assert logistic(1.0).mad == 1.0
+
+
+def test_logistic_rejects_a_mad_whose_scale_overflows():
+    """Below 2 ln 2 / DBL_MAX (about 7.7e-309) theta = 2 ln 2 / mad is inf and
+    the CDF at zero would be inf * 0; such a mad is rejected, and the
+    smallest one above it still gives finite values."""
+    for mad in (1e-310, 5e-324, 7.6e-309):
+        with pytest.raises(ValueError, match="too small for the logistic law"):
+            logistic(mad)
+    d = logistic(7.8e-309)
+    assert math.isfinite(d.theta)
+    assert d.cdf(0.0) == 0.5
+    assert d.scdf(0.0) == pytest.approx(7.8e-309 / 2.0, rel=1e-12)
+    assert two_point_lower(1e-310).scdf(0.0) == 1e-310 / 2.0

@@ -12,8 +12,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fcrbid import (
+    AssumptionError,
     BatterySpec,
     EfficiencyPair,
+    MarketPrices,
     RegulationContract,
     analytic_bid,
     asymptotic_slope,
@@ -25,9 +27,13 @@ from fcrbid import (
     logistic,
     max_feasible_bid,
     purchase_power,
+    purchase_slopes,
+    solve,
     three_point_upper,
     two_point_lower,
 )
+
+from test_solver import _x_space_solve
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -146,6 +152,40 @@ def test_unbalanced_max_bid_is_the_last_deliverable_float(instance):
     lower, upper = envelopes(above, bat, con)
     assert xmax == envelope_crossing(bat, con) or not (
         lower <= purchase_power(above, ctx) <= upper)
+
+
+@PROPERTY
+@pytest.mark.filterwarnings("ignore:mean absolute deviation exceeds")
+@given(unbalanced_instances(), st.floats(0.02, 1.5), st.booleans(), SHARES, SHARES)
+def test_stationary_bid_is_the_first_float_that_reaches_the_ratio(instance, share, affine,
+                                                                  cbd_share, cad_share):
+    """Over the four laws, both target signs and fixed and affine prices, the
+    solver picks the bid-space reference's candidate, and at a stationary bid
+    the right slope reaches the price ratio while one float below it does not."""
+    bat, con, law = instance
+    ctx = context_for(bat, con, law)
+    assume(ctx.slope > 0.0 and -bat.discharge_cap_kw < ctx.base_purchase < bat.charge_cap_kw)
+    ratio = share * ctx.slope
+    prices = (MarketPrices(mode="elastic", cb0=2.0, cbd=0.02 * cbd_share, ca0=2.0 * ratio,
+                           cad=0.001 * cad_share) if affine else MarketPrices(cb=2.0, cr=2.0 * ratio))
+    try:
+        sol = solve(bat, con, prices, law)
+    except AssumptionError:  # affine prices that are not convex at this base purchase
+        assume(False)
+    _, candidate, xr_max = _x_space_solve(bat, con, prices, law)[:3]
+    # The reference bisects deliverability for a single switch; where the
+    # purchase dips out of the band and comes back, its largest bid is a later one.
+    assume(math.isclose(xr_max, sol.xr_max_kw, rel_tol=1e-12))
+    assert sol.candidate == candidate
+    cb0, cbd, ca0, cad = prices.coefficients
+
+    def reaches(x):
+        level = cb0 + 2.0 * cbd * purchase_power(x, ctx)
+        return purchase_slopes(x, ctx)[1] >= (ca0 - 2.0 * cad * x) / level
+
+    if sol.candidate == "stationary":
+        assert reaches(sol.xr_kw)
+        assert not reaches(math.nextafter(sol.xr_kw, 0.0))
 
 
 @st.composite

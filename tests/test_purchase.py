@@ -417,8 +417,10 @@ def test_inversion_work_is_bounded(law, monkeypatch):
     """The slope and each purchase take a handful of law evaluations, the
     largest deliverable bid of the README battery, charging or discharging,
     takes at most 40, an unbalanced solve stays within 200 whichever
-    candidate wins, and a balanced solve makes no law evaluation beyond the
-    slope's."""
+    candidate wins, an unbalanced stationary solve within 40 under a
+    discrete law (its piece comes from the atom tables) and 90 under the
+    logistic (a bisection in u took 82-122), and a balanced solve makes no
+    law evaluation beyond the slope's."""
     calls = count_scdf_calls(monkeypatch)
     eff = EfficiencyPair(0.9, 0.8)
     asymptotic_slope(eff, law)
@@ -441,6 +443,13 @@ def test_inversion_work_is_bounded(law, monkeypatch):
             calls.clear()
             solve_inelastic(bat, con, MarketPrices(cb=5.1, cr=cr), law)
             assert len(calls) <= 200
+    fixed = MarketPrices(cb=5.1, cr=0.02)
+    affine = MarketPrices(mode="elastic", cb0=5.1, cbd=0.01, ca0=0.02, cad=0.005)
+    for target, prices in ((26.0, fixed), (26.0, affine), (14.0, affine)):
+        calls.clear()
+        sol = solve(BatterySpec(60.0, 18.0, 15.0, 20.0, target, eff), con, prices, law)
+        assert sol.candidate == "stationary"
+        assert len(calls) <= (40 if law.is_discrete else 90)
     bat = BatterySpec(60.0, 18.0, 15.0, 20.0, 20.0, eff)
     for prices in (*(MarketPrices(cb=5.1, cr=cr) for cr in (0.9, 0.2, 0.05)),
                    MarketPrices(mode="elastic", cb0=5.1, cbd=0.01, ca0=0.1, cad=0.005)):

@@ -241,7 +241,7 @@ def test_elastic_with_zero_elasticities_matches_inelastic_bitwise(monkeypatch):
         # which returns the purchase at the bid, and nothing more.
         calls.clear()
         ctx = context_for(bat, con, d)
-        xr, xb = _solve_with_ratio(bat, con, ctx, lambda _x, _xb: cr / 1.3)[:2]
+        xr, xb = _solve_with_ratio(bat, con, ctx, (1.3, 0.0, cr, 0.0))[:2]
         assert (xr, xb, len(calls)) == (sol.xr_kw, sol.xb_kw, runs[0][1])
         candidates.add(sol.candidate)
     assert candidates == {"zero", "stationary", "boundary"}
