@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import SCHEMA_VERSION, load_config
+from .config import MAX_POINTS, SCHEMA_VERSION, load_config
 from .distributions import logistic
 from .econ import (
     HOURS_PER_YEAR,
@@ -46,7 +46,6 @@ from .purchase import (
     expected_charge_rate,
     purchase_bounds,
     purchase_power,
-    purchase_power_many,
     slope_bounds,
 )
 from .simulate import (
@@ -61,10 +60,6 @@ from .solver import solve
 from .solver import solve_elastic, solve_inelastic  # noqa: F401  traced by perfbench/layers.py
 
 __all__ = ["main"]
-
-# Most points a grid, or steps a trajectory, may have; a larger request is
-# rejected before anything is allocated.
-MAX_POINTS = 10**6
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -114,6 +109,13 @@ def _finite(text: str) -> float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _bid(text: str) -> float:
+    """argparse type for a bid flag, which must be finite and nonnegative."""
+    if (value := _finite(text)) < 0.0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -171,22 +173,20 @@ def _cmd_bounds(args) -> int:
         xr_hi = args.max_xr
     else:
         xr_hi = max_feasible_bid(cfg.battery, cfg.contract, ctx)
-    grid = np.linspace(0.0, xr_hi, args.grid)
-    purchase = purchase_power_many(grid, ctx)
-    lower, upper = purchase_bounds(grid, ctx)
-    band_lo, band_hi = envelopes(grid, cfg.battery, cfg.contract)
-    rows = [
-        {
-            "xr_kw": x,
-            "purchase_kw": p,
-            "purchase_lower_kw": lo,
-            "purchase_upper_kw": hi,
-            "feasible_floor_kw": fl,
-            "feasible_ceiling_kw": fc,
-        }
-        for x, p, lo, hi, fl, fc
-        in zip(grid, purchase, lower, upper, band_lo, band_hi)
-    ]
+    rows = []
+    for x in np.linspace(0.0, xr_hi, args.grid).tolist():
+        lower, upper = purchase_bounds(x, ctx)
+        floor, ceiling = envelopes(x, cfg.battery, cfg.contract)
+        rows.append(
+            {
+                "xr_kw": x,
+                "purchase_kw": purchase_power(x, ctx),
+                "purchase_lower_kw": lower,
+                "purchase_upper_kw": upper,
+                "feasible_floor_kw": floor,
+                "feasible_ceiling_kw": ceiling,
+            }
+        )
     if args.format == "csv":
         _emit_csv(list(rows[0].keys()), rows, args.out)
     else:
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bounds", _cmd_bounds, "purchase curve with envelopes over a bid grid")
     p.add_argument("--grid", type=_count(1, MAX_POINTS), default=101, help="number of grid points")
-    p.add_argument("--max-xr", type=_finite, default=None, help="grid upper end in kW")
+    p.add_argument("--max-xr", type=_bid, default=None, help="grid upper end in kW")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("sweep-slope", _cmd_sweep_slope,
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="volume_kw,price_cts CSV for the regulation market")
 
     p = add("simulate", _cmd_simulate, "sample one trajectory and integrate the SoC")
-    p.add_argument("--xr", type=_finite, default=None, help="bid in kW (default: max feasible)")
+    p.add_argument("--xr", type=_bid, default=None, help="bid in kW (default: max feasible)")
     p.add_argument("--xb", type=_finite, default=None,
                    help="purchase in kW (default: implied by the bid)")
     p.add_argument("--n-steps", type=_count(1, MAX_POINTS), default=None)

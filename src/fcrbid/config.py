@@ -8,6 +8,7 @@ points at the exact key.  Schema is versioned; see docs/config.md.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -20,9 +21,13 @@ from .feasible import BatterySpec, RegulationContract
 from .purchase import EfficiencyPair
 from .solver import MarketPrices
 
-__all__ = ["SCHEMA_VERSION", "ProblemConfig", "load_config", "parse_config"]
+__all__ = ["MAX_POINTS", "SCHEMA_VERSION", "ProblemConfig", "load_config", "parse_config"]
 
 SCHEMA_VERSION = 1
+
+# Most points a grid, or steps a trajectory, may have; a larger request is
+# rejected before anything is allocated.
+MAX_POINTS = 10**6
 
 _MISSING = object()
 
@@ -64,8 +69,8 @@ def _num(sec: dict, key: str, path: str, default=_MISSING) -> float:
     return float(value)
 
 
-def _int(sec: dict, key: str, path: str, floor: int, default=_MISSING) -> int:
-    """An integer field of at least ``floor``."""
+def _int(sec: dict, key: str, path: str, floor: int, default=_MISSING, ceiling=math.inf) -> int:
+    """An integer field in [``floor``, ``ceiling``]."""
     if key not in sec:
         if default is _MISSING:
             raise ConfigError(f"{path}.{key}: missing required field")
@@ -75,6 +80,8 @@ def _int(sec: dict, key: str, path: str, floor: int, default=_MISSING) -> int:
         raise ConfigError(f"{path}.{key}: expected an integer")
     if value < floor:
         raise ConfigError(f"{path}.{key}: must be at least {floor}, got {value}")
+    if value > ceiling:
+        raise ConfigError(f"{path}.{key}: must be at most {ceiling}, got {value}")
     return value
 
 
@@ -201,7 +208,7 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ProblemConfig:
         prices=_prices(_object(doc, "prices")),
         distribution=_distribution(_object(doc, "distribution"), base_dir),
         seed=_int(solver_sec, "seed", "solver", 0, 0),
-        n_steps=_int(solver_sec, "n_steps", "solver", 1, None),
+        n_steps=_int(solver_sec, "n_steps", "solver", 1, None, MAX_POINTS),
         n_paths=_int(solver_sec, "n_paths", "solver", 100, 100_000),
         investment=_investment(inv_sec) if inv_sec is not None else None,
         charger_kw_per_kwh=charger,

@@ -4,7 +4,7 @@ The regulation signal is modelled as a stationary random deviation on
 [-1, 1], symmetric about zero.  Every family exposes the cumulative
 distribution function, its antiderivative anchored at -1 (the
 super-cumulative distribution function, ``scdf``) and seeded sampling.
-``cdf`` and ``scdf`` have one float implementation; arrays map it.  The
+``cdf`` and ``scdf`` take a float; sampling returns arrays.  The
 mean absolute deviation ``mad`` acts as the single shape parameter; all
 families satisfy mad = 2 * scdf(0).
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -68,21 +69,17 @@ class DeviationDistribution:
     kind: str
     mad: float
     theta: float | None = None
-    # Discrete machinery: atom locations (ascending) and padded prefix sums of
-    # the masses for the sampler; as float tuples, with the prefix sums of
-    # mass * location, they make the piecewise-linear scdf one binary search.
-    _locs: np.ndarray | None = field(default=None, repr=False)
-    _cum: np.ndarray | None = field(default=None, repr=False)
+    # Discrete machinery, as float tuples: atom locations (ascending) and the
+    # zero-padded prefix sums of mass and of mass * location.  They make the
+    # scdf one binary search; the mass sums are the sampler's inverse CDF.
     _tables: tuple | None = field(default=None, repr=False)
 
     @property
     def is_discrete(self) -> bool:
         return self.theta is None
 
-    def cdf(self, z):
-        """Right-continuous CDF; an array maps it per element."""
-        if not (isinstance(z, float) or np.ndim(z) == 0):
-            return np.vectorize(self.cdf, otypes=[float])(z)
+    def cdf(self, z: float) -> float:
+        """Right-continuous CDF."""
         if self.theta is not None:
             return _sigmoid(self.theta * float(z))
         return self._tables[1][bisect_right(self._tables[0], float(z))]
@@ -96,14 +93,12 @@ class DeviationDistribution:
         locs, cum, _ = self._tables
         return cum[bisect_left(locs, z)], cum[bisect_right(locs, z)]
 
-    def scdf(self, z):
-        """Antiderivative of the CDF with scdf(-1) = 0; an array maps it per element.
+    def scdf(self, z: float) -> float:
+        """Antiderivative of the CDF with scdf(-1) = 0.
 
         Convex, nondecreasing, and equal to max(0, z) outside the support.
         Satisfies the symmetry identity scdf(z) = scdf(-z) + z.
         """
-        if not (isinstance(z, float) or np.ndim(z) == 0):
-            return np.vectorize(self.scdf, otypes=[float])(z)
         z = float(z)
         if self.theta is not None:
             th = self.theta
@@ -125,9 +120,9 @@ class DeviationDistribution:
             with np.errstate(divide="ignore"):
                 draw = np.log(u / (1.0 - u)) / self.theta
             return np.clip(draw, -1.0, 1.0)
-        idx = np.searchsorted(self._cum[1:], u, side="right")
-        idx = np.minimum(idx, len(self._locs) - 1)
-        return self._locs[idx]
+        locs, cum, _ = self._tables
+        idx = np.searchsorted(cum[1:], u, side="right")
+        return np.asarray(locs)[np.minimum(idx, len(locs) - 1)]
 
 
 def _check_mad(mad: float) -> float:
@@ -138,14 +133,10 @@ def _check_mad(mad: float) -> float:
 
 
 def _discrete(kind: str, mad: float, locs, mass) -> DeviationDistribution:
-    locs = np.asarray(locs, dtype=float)
-    mass = np.asarray(mass, dtype=float)
-    keep = mass > 0.0
-    locs, mass = locs[keep], mass[keep]
-    cum = np.concatenate(([0.0], np.cumsum(mass)))
-    cum_wx = np.concatenate(([0.0], np.cumsum(mass * locs)))
-    return DeviationDistribution(kind, mad, _locs=locs, _cum=cum, _tables=tuple(
-        tuple(a.tolist()) for a in (locs, cum, cum_wx)))
+    atoms = [(float(z), float(w)) for z, w in zip(locs, mass) if w > 0.0]
+    cum = (0.0, *accumulate(w for _, w in atoms))
+    cum_wx = (0.0, *accumulate(w * z for z, w in atoms))
+    return DeviationDistribution(kind, mad, _tables=(tuple(z for z, _ in atoms), cum, cum_wx))
 
 
 def logistic(mad: float) -> DeviationDistribution:

@@ -16,8 +16,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import DeviationDistribution
 from .errors import AssumptionError, InfeasibleProblemError, TargetMismatchError
 from .purchase import EfficiencyPair, PurchaseContext, purchase_power
@@ -97,20 +95,18 @@ def _band(bat: BatterySpec, con: RegulationContract) -> tuple[float, ...]:
             con.activation)
 
 
-def _edges(x, l1, l2, u1, u2, q, larger=max, smaller=min):
+def _edges(x: float, l1, l2, u1, u2, q) -> tuple[float, float]:
     """Band (lower, upper) at bid ``x`` from the offsets of :func:`_band`."""
-    return larger(x - l1, q * x - l2), smaller(u1 - x, u2 - q * x)
+    return max(x - l1, q * x - l2), min(u1 - x, u2 - q * x)
 
 
-def envelopes(xr, bat: BatterySpec, con: RegulationContract):
+def envelopes(xr: float, bat: BatterySpec, con: RegulationContract) -> tuple[float, float]:
     """Admissible purchase band (lower, upper) at bid ``xr``.
 
     The lower edge is strictly increasing in the bid, the upper edge
-    strictly decreasing.  Accepts floats or arrays.
+    strictly decreasing.
     """
-    if isinstance(xr, (int, float)):
-        return _edges(float(xr), *_band(bat, con))
-    return _edges(np.asarray(xr, dtype=float), *_band(bat, con), np.maximum, np.minimum)
+    return _edges(float(xr), *_band(bat, con))
 
 
 def _crossing(l1, l2, u1, u2, q) -> float:

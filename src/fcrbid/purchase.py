@@ -2,12 +2,12 @@
 
 A storage device that sells regulation power must also buy a baseline of
 energy so that the expected drift of its state of charge stays on target.
-This module evaluates that coupling:
+This module evaluates that coupling, one float bid at a time:
 
 * :func:`expected_charge_rate` -- mean drift of the state of charge for a
   given purchase and bid;
 * :func:`purchase_power` -- the purchase required to hold the drift target,
-  and :func:`purchase_power_many`, the same at every bid of an array;
+  and :func:`purchase_power_many`, the one array entry point, which maps it;
 * :func:`purchase_slopes` -- one-sided derivatives of the purchase with
   respect to the bid;
 * :func:`asymptotic_slope` / :func:`slope_bounds` -- the marginal purchase
@@ -76,22 +76,21 @@ class EfficiencyPair:
         return 1.0 / self.eta_minus - self.eta_plus
 
 
-def expected_charge_rate(xb, xr, eff: EfficiencyPair, dist: DeviationDistribution):
+def expected_charge_rate(xb, xr, eff: EfficiencyPair, dist: DeviationDistribution) -> float:
     """Expected drift of the state of charge, in kW.
 
     Parameters
     ----------
-    xb : float or array
+    xb : float
         Baseline purchase power (may be negative: net selling).
-    xr : float or array
-        Regulation bid, nonnegative.  Arrays are broadcast with ``xb`` and
-        mapped through the float evaluation, element by element.
+    xr : float
+        Regulation bid, nonnegative.
     eff, dist
         Efficiencies and deviation law of the regulation signal.
 
     Returns
     -------
-    float or array
+    float
         eta_plus * xb - drain * xr * scdf(-xb / xr); at ``xr = 0`` the
         continuous limit eta_plus * [xb]+ - [xb]- / eta_minus.
 
@@ -99,9 +98,6 @@ def expected_charge_rate(xb, xr, eff: EfficiencyPair, dist: DeviationDistributio
     -----
     Strictly increasing in ``xb`` and nonincreasing in ``xr``.
     """
-    if np.ndim(xb) or np.ndim(xr):
-        rate = np.vectorize(expected_charge_rate, otypes=[float], excluded={2, 3})
-        return rate(xb, xr, eff, dist)
     xb, xr = float(xb), float(xr)
     if xr < 0.0:
         raise ValueError("bid must be nonnegative")
@@ -218,15 +214,26 @@ def purchase_slopes(xr: float, ctx: PurchaseContext) -> tuple[float, float]:
     active deviation ratio and differ at a kink (discrete deviation law); at
     ``xr = 0`` both report the right derivative, zero.
     """
+    return _purchase_point(xr, ctx)[1:]
+
+
+def _purchase_point(xr: float, ctx: PurchaseContext) -> tuple[float, float, float]:
+    """Purchase and slopes (left, right) at bid ``xr``: :func:`purchase_power`
+    and :func:`purchase_slopes` from one inverse of g."""
     xr = float(xr)
     if xr < 0.0:
         raise ValueError("bid must be nonnegative")
     if ctx.drift_target == 0.0:
-        return ctx.slope, ctx.slope
+        return ctx.slope * xr, ctx.slope, ctx.slope
     if xr == 0.0:
-        return 0.0, 0.0
+        return ctx.base_purchase, 0.0, 0.0
     u = _inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist)
-    return _unit_slopes(u, ctx)
+    phi = ctx.dist.scdf(-u)
+    f_left, f_right = ctx.dist.cdf_pair(-u)
+    eta_p, drain = ctx.eff.eta_plus, ctx.eff.drain
+    s1 = drain * (phi + u * f_left) / (eta_p + drain * f_left)
+    s2 = drain * (phi + u * f_right) / (eta_p + drain * f_right)
+    return ctx.slope * xr if xr > XR_ASYMPTOTE else xr * u, min(s1, s2), max(s1, s2)
 
 
 def _unit_bid(u: float, ctx: PurchaseContext) -> tuple[float, float, float]:
@@ -238,37 +245,23 @@ def _unit_bid(u: float, ctx: PurchaseContext) -> tuple[float, float, float]:
     return xr, xr * u, phi
 
 
-def _unit_slopes(u: float, ctx: PurchaseContext) -> tuple[float, float]:
-    """One-sided purchase slopes (left, right) at purchase per unit of bid ``u`` (unbalanced target)."""
-    phi = ctx.dist.scdf(-u)
-    f_left, f_right = ctx.dist.cdf_pair(-u)
-    eta_p, drain = ctx.eff.eta_plus, ctx.eff.drain
-    s1 = drain * (phi + u * f_left) / (eta_p + drain * f_left)
-    s2 = drain * (phi + u * f_right) / (eta_p + drain * f_right)
-    return min(s1, s2), max(s1, s2)
-
-
-def purchase_bounds(xr, ctx: PurchaseContext):
+def purchase_bounds(xr: float, ctx: PurchaseContext) -> tuple[float, float]:
     """Closed-form envelopes of the purchase curve at bid ``xr``.
 
     Returns ``(lower, upper)``.  The envelopes are the exact purchase curves
     under the two-point and three-point extremal laws with the context's
     mean absolute deviation, so they sandwich the purchase for every
-    deviation law with that mad.  Accepts floats or arrays.
+    deviation law with that mad.
     """
-    scalar = np.ndim(xr) == 0
-    x = np.asarray(xr, dtype=float)
-    if np.any(x < 0.0):
+    x = float(xr)
+    if x < 0.0:
         raise ValueError("bids must be nonnegative")
     a = ctx.eff.roundtrip
     s_low, s_up = slope_bounds(ctx.eff, ctx.dist.mad)
     base = ctx.base_purchase
     base_pos, base_neg = max(base, 0.0), max(-base, 0.0)
     phi0 = ctx.dist.scdf(0.0)
-    lower = np.maximum(base, s_low * x + base - (1.0 - a) / (1.0 + a) * abs(base))
+    lower = max(base, s_low * x + base - (1.0 - a) / (1.0 + a) * abs(base))
     mid_piece = ((1.0 - a) * phi0 * x - base_neg) / (a + (1.0 - a) * (1.0 - phi0))
     top_piece = s_up * x + (a * base_pos - base_neg) / (a + (1.0 - a) * phi0)
-    upper = np.maximum(base, np.maximum(mid_piece, top_piece))
-    if scalar:
-        return float(lower), float(upper)
-    return lower, upper
+    return lower, max(base, mid_piece, top_piece)

@@ -28,8 +28,7 @@ from dataclasses import asdict, dataclass
 from .distributions import DeviationDistribution
 from .errors import AssumptionError
 from .feasible import BatterySpec, RegulationContract, context_for, max_feasible_bid
-from .purchase import (XR_ASYMPTOTE, PurchaseContext, _inverse_unit_rate, _unit_bid, _unit_slopes,
-                       purchase_power, purchase_slopes)
+from .purchase import PurchaseContext, _purchase_point, _unit_bid, purchase_power, purchase_slopes
 from .rootfind import BISECT_MAX_ITER, last_true
 
 __all__ = [
@@ -116,15 +115,6 @@ def _line_root(coefficients, s: float, c: float) -> float:
     cb0, cbd, ca0, cad = coefficients
     denominator = 2.0 * (cad + s * s * cbd)
     return (ca0 - s * (cb0 + 2.0 * cbd * c)) / denominator if denominator > 0.0 else math.inf
-
-
-def _purchase_point(x: float, ctx: PurchaseContext) -> tuple[float, float, float]:
-    """Purchase and slopes (left, right) at bid ``x``, from one inverse of g where
-    :func:`purchase_power` and :func:`purchase_slopes` would each make one."""
-    if ctx.drift_target == 0.0 or not 0.0 < x <= XR_ASYMPTOTE:
-        return (purchase_power(x, ctx), *purchase_slopes(x, ctx))
-    u = _inverse_unit_rate(ctx.drift_target / x, ctx.eff, ctx.dist)
-    return (x * u, *_unit_slopes(u, ctx))
 
 
 def _kink_guess(ctx: PurchaseContext, coefficients, xr_max: float, u_max: float) -> float:

@@ -349,8 +349,8 @@ def test_criterion_12():
         law = empirical(rng.uniform(-1.0, 1.0, size=rng.integers(3, 12)))
         floor = two_point_lower(law.mad)
         ceiling = three_point_upper(law.mad)
-        assert float(np.min(law.scdf(zs) - floor.scdf(zs))) >= -1e-10
-        assert float(np.min(ceiling.scdf(zs) - law.scdf(zs))) >= -1e-10
+        assert min(law.scdf(z) - floor.scdf(z) for z in zs) >= -1e-10
+        assert min(ceiling.scdf(z) - law.scdf(z) for z in zs) >= -1e-10
 
         cap = rng.uniform(50.0, 300.0)
         bat = BatterySpec(cap, 0.2 * cap, 0.2 * cap, cap / 2.0, cap / 2.0,
@@ -360,7 +360,7 @@ def test_criterion_12():
         ctx = context_for(bat, con, law)
         xs = np.linspace(0.0, 3.0 * bat.charge_cap_kw, 1000)
         g = purchase_power_many(xs, ctx)
-        lower, upper = purchase_bounds(xs, ctx)
+        lower, upper = np.array([purchase_bounds(x, ctx) for x in xs]).T
         assert float(np.min(g - lower)) >= -1e-10
         assert float(np.min(upper - g)) >= -1e-10
 

@@ -652,6 +652,17 @@ def test_solver_count_below_its_floor_exits_2(config, capsys, command, key, valu
     assert err == f"error: solver.{key}: must be at least {floor}, got {value}\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
+def test_solver_steps_above_the_cap_exit_2(config, capsys, command):
+    """The config's step count has the --n-steps flag's cap of 10**6."""
+    doc = base_doc()
+    doc["solver"] = {"n_steps": 1_000_001}
+    code, out, err = run(capsys, command, "--config", config(doc))
+    assert code == 2
+    assert out == ""
+    assert err == "error: solver.n_steps: must be at most 1000000, got 1000001\n"
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -693,6 +704,8 @@ def test_infeasible_problem_exits_3(config, capsys):
     ("verify", "--paths", "1e5"),
     ("simulate", "--seed", "-1"),
     ("verify", "--seed", "-2"),
+    ("bounds", "--max-xr", "-1"),
+    ("simulate", "--xr", "-0.5"),
 ])
 def test_bad_count_flag_exits_2(config, capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -104,19 +104,18 @@ def test_envelope_lower_with_empty_store():
 
 
 def test_envelopes_array_matches_scalar():
+    """A NumPy scalar or a 0-d array gives the float result."""
     bat, con, _ = asymmetric_instance()
-    grid = np.linspace(0.0, 12.0, 25)
-    lower, upper = envelopes(grid, bat, con)
-    for i, x in enumerate(grid):
-        lo, up = envelopes(float(x), bat, con)
-        assert lower[i] == lo
-        assert upper[i] == up
+    for x in np.linspace(0.0, 12.0, 25):
+        got = envelopes(float(x), bat, con)
+        assert all(type(v) is float for v in got)
+        assert envelopes(x, bat, con) == envelopes(np.array(x), bat, con) == got
 
 
 def test_envelopes_monotone():
     bat, con, _ = asymmetric_instance()
     grid = np.linspace(0.0, 15.0, 301)
-    lower, upper = envelopes(grid, bat, con)
+    lower, upper = np.array([envelopes(x, bat, con) for x in grid]).T
     assert np.all(np.diff(lower) > 0.0)
     assert np.all(np.diff(upper) < 0.0)
 
@@ -154,7 +153,7 @@ def test_max_bid_sits_on_the_band_edge():
         xmax = max_feasible_bid(bat, con, ctx)
     grid = np.linspace(0.0, xmax, 200)
     g = purchase_power_many(grid, ctx)
-    lower, upper = envelopes(grid, bat, con)
+    lower, upper = np.array([envelopes(x, bat, con) for x in grid]).T
     assert np.all(g >= lower - 1e-9)
     assert np.all(g <= upper + 1e-9)
     beyond = 1.002 * xmax
@@ -276,13 +275,13 @@ def test_max_bid_is_where_the_purchase_first_leaves_the_band(law):
     xmax = max_feasible_bid(bat, con, ctx)
     assert 0.0 < xmax < 0.1 * envelope_crossing(bat, con)
     grid = np.linspace(0.0, xmax, 2001)
-    lower, upper = envelopes(grid, bat, con)
+    lower, upper = np.array([envelopes(x, bat, con) for x in grid]).T
     purchase = purchase_power_many(grid, ctx)
     assert np.all((lower <= purchase) & (purchase <= upper))
     above = math.nextafter(xmax, math.inf)
     lower, upper = envelopes(above, bat, con)
     assert not lower <= purchase_power(above, ctx) <= upper
     grid = np.linspace(above, envelope_crossing(bat, con), 2001)
-    lower, upper = envelopes(grid, bat, con)
+    lower, upper = np.array([envelopes(x, bat, con) for x in grid]).T
     purchase = purchase_power_many(grid, ctx)
     assert np.any((lower <= purchase) & (purchase <= upper))

@@ -207,5 +207,5 @@ def test_scdf_symmetry_identity(law, z):
     the last place of scdf(|z|) < 2, which the bound reaches near |z| = 1;
     for a discrete law one such unit per atom, because its prefix sums
     accumulate rounding."""
-    steps = 1 if law.theta is not None else law._locs.size
+    steps = 1 if law.theta is not None else len(law._tables[0])
     assert abs(law.scdf(z) - law.scdf(-z) - z) <= steps * 2.0**-52 * max(1.0, abs(z))

@@ -27,6 +27,7 @@ from fcrbid import (
     two_point_lower,
 )
 from fcrbid.distributions import DeviationDistribution
+from fcrbid.purchase import _purchase_point
 
 import oracles
 
@@ -81,30 +82,30 @@ def test_expected_rate_rejects_negative_bid():
     d = logistic(0.1)
     with pytest.raises(ValueError):
         expected_charge_rate(1.0, -0.5, eff, d)
-    with pytest.raises(ValueError):
-        expected_charge_rate(np.array([1.0]), np.array([-0.5]), eff, d)
 
 
 def test_expected_rate_array_matches_scalar():
-    """Arrays map the float evaluation, bid 0 included, bit for bit."""
+    """A NumPy scalar or a 0-d array gives the float result, bid 0 included,
+    bit for bit."""
     eff = EfficiencyPair(0.85, 0.7)
     xb = np.linspace(-2.0, 2.0, 21)
     xr = np.linspace(0.0, 3.0, 21)
     for d in (logistic(0.12), logistic(0.3), two_point_lower(0.3), three_point_upper(0.4),
               empirical([0.5, -0.2, 0.05])):
-        got = expected_charge_rate(xb, xr, eff, d)
-        want = [expected_charge_rate(b, r, eff, d) for b, r in zip(xb.tolist(), xr.tolist())]
-        assert got.tolist() == want, d.kind
+        for b, r in zip(xb.tolist(), xr.tolist()):
+            want = expected_charge_rate(b, r, eff, d)
+            assert type(want) is float
+            assert expected_charge_rate(np.float64(b), np.array(r), eff, d) == want, d.kind
 
 
 def test_expected_rate_monotone():
     eff = EfficiencyPair(0.9, 0.8)
     d = logistic(0.2)
     xb = np.linspace(-3.0, 3.0, 301)
-    rates = expected_charge_rate(xb, 1.5, eff, d)
+    rates = [expected_charge_rate(b, 1.5, eff, d) for b in xb]
     assert np.all(np.diff(rates) > 0.0)
     xr = np.linspace(0.0, 5.0, 201)
-    rates = expected_charge_rate(0.4, xr, eff, d)
+    rates = [expected_charge_rate(0.4, r, eff, d) for r in xr]
     assert np.all(np.diff(rates) <= 1e-15)
 
 
@@ -280,14 +281,18 @@ def test_purchase_beyond_the_asymptote_switch():
 
 def test_purchase_many_matches_scalar():
     """Bit for bit, over the four laws, both target signs, zero bid and a bid
-    beyond the asymptote switch, in the shape of the input."""
+    beyond the asymptote switch, in the shape of the input; the one-inverse
+    point evaluation gives the same purchase, balanced targets included."""
     grid = np.array([[0.0, 0.3, 1.0, 4.0], [7.7, 25.0, 1e6, 2e12]])
     for law in (logistic(0.3),) + FOUR_LAWS:
-        for target in (0.25, -0.25):
+        for target in (0.25, -0.25, 0.0):
             ctx = ctx_for(0.9, 0.8, law, target)
             got = purchase_power_many(grid, ctx)
             want = [[purchase_power(float(x), ctx) for x in row] for row in grid]
             np.testing.assert_array_equal(got, want)
+            for x in grid.ravel().tolist():
+                assert _purchase_point(x, ctx) == (purchase_power(x, ctx),
+                                                   *purchase_slopes(x, ctx)), (law.kind, x)
     ctx = ctx_for(0.9, 0.8, logistic(0.3), 0.25)
     with pytest.raises(ValueError):
         purchase_power_many(np.array([-1.0]), ctx)
@@ -349,8 +354,8 @@ def test_purchase_bounds_are_attained_by_extremal_laws():
         lo_ctx = ctx_for(0.9, 0.8, two_point_lower(0.35), target)
         hi_ctx = ctx_for(0.9, 0.8, three_point_upper(0.35), target)
         grid = np.linspace(0.0, 12.0, 49)
-        lo_band = purchase_bounds(grid, lo_ctx)[0]
-        hi_band = purchase_bounds(grid, hi_ctx)[1]
+        lo_band = [purchase_bounds(x, lo_ctx)[0] for x in grid]
+        hi_band = [purchase_bounds(x, hi_ctx)[1] for x in grid]
         np.testing.assert_allclose(
             purchase_power_many(grid, lo_ctx), lo_band, rtol=1e-9, atol=1e-10)
         np.testing.assert_allclose(
@@ -366,7 +371,7 @@ def test_purchase_bounds_sandwich_in_support_laws():
         for target in (0.0, 0.2, -0.3):
             ctx = ctx_for(0.9, 0.8, d, target)
             g = purchase_power_many(grid, ctx)
-            lower, upper = purchase_bounds(grid, ctx)
+            lower, upper = np.array([purchase_bounds(x, ctx) for x in grid]).T
             assert np.all(lower <= g + 1e-9)
             assert np.all(g <= upper + 1e-9)
 
@@ -376,7 +381,7 @@ def test_purchase_bounds_lower_holds_for_the_logistic():
     # tail mass only raises the purchase, so the floor holds here too
     ctx = ctx_for(0.9, 0.8, logistic(0.2), 0.15)
     grid = np.linspace(0.0, 15.0, 61)
-    lower, _ = purchase_bounds(grid, ctx)
+    lower = [purchase_bounds(x, ctx)[0] for x in grid]
     assert np.all(lower <= purchase_power_many(grid, ctx) + 1e-9)
 
 
