@@ -16,8 +16,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import MAX_POINTS, SCHEMA_VERSION, load_config
 from .distributions import logistic
@@ -41,6 +39,7 @@ from .ingest import (
     reduce_prices,
 )
 from .purchase import (
+    XR_ASYMPTOTE,
     EfficiencyPair,
     asymptotic_slope,
     expected_charge_rate,
@@ -111,11 +110,24 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
-def _bid(text: str) -> float:
-    """argparse type for a bid flag, which must be finite and nonnegative."""
-    if (value := _finite(text)) < 0.0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _real(floor: float, ceiling: float = math.inf):
+    """argparse type for a finite float flag in [``floor``, ``ceiling``]."""
+    def real(text: str) -> float:
+        if (value := _finite(text)) < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor:g}, got {value}")
+        if value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be at most {ceiling:g}, got {value}")
+        return value
+    return real
+
+
+def _linspace(stop: float, num: int) -> list[float]:
+    """The floats of numpy.linspace(0.0, stop, num), bit for bit, without NumPy."""
+    if num == 1:
+        return [0.0]
+    step = stop / (num - 1)
+    # As numpy does: scale by stop when the step underflows, then add the start.
+    return [(i * step if step else i / (num - 1) * stop) + 0.0 for i in range(num - 1)] + [stop]
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -174,7 +186,7 @@ def _cmd_bounds(args) -> int:
     else:
         xr_hi = max_feasible_bid(cfg.battery, cfg.contract, ctx)
     rows = []
-    for x in np.linspace(0.0, xr_hi, args.grid).tolist():
+    for x in _linspace(xr_hi, args.grid):
         lower, upper = purchase_bounds(x, ctx)
         floor, ceiling = envelopes(x, cfg.battery, cfg.contract)
         rows.append(
@@ -351,8 +363,8 @@ def _cmd_simulate(args) -> int:
             "budget_h": traj.budget_h,
             "capped": traj.budget_h >= cfg.contract.budget_h - 1e-9,
             "terminal_soc_kwh": float(soc[-1]),
-            "min_soc_kwh": float(np.min(soc)),
-            "max_soc_kwh": float(np.max(soc)),
+            "min_soc_kwh": float(soc.min()),
+            "max_soc_kwh": float(soc.max()),
         },
         args.out,
     )
@@ -383,14 +395,10 @@ def _cmd_verify(args) -> int:
     feas_ok = feas.feasible and feas.sampled_max_violation <= 1e-9
 
     traj = sample_trajectory(cfg.distribution, cfg.contract, args.n_steps, seed)
-    absolute = type(traj)(np.abs(traj.values), traj.dt_h)
+    absolute = type(traj)(abs(traj.values), traj.dt_h)
     ordered = rearrange_nonincreasing(absolute)
-    slack = float(
-        np.min(
-            integrate_soc(xb, xr, ordered, cfg.battery)
-            - integrate_soc(xb, xr, absolute, cfg.battery)
-        )
-    )
+    slack = float((integrate_soc(xb, xr, ordered, cfg.battery)
+                   - integrate_soc(xb, xr, absolute, cfg.battery)).min())
     rearrange_ok = slack >= -1e-12
 
     ok = esoc_ok and feas_ok and rearrange_ok
@@ -437,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bounds", _cmd_bounds, "purchase curve with envelopes over a bid grid")
     p.add_argument("--grid", type=_count(1, MAX_POINTS), default=101, help="number of grid points")
-    p.add_argument("--max-xr", type=_bid, default=None, help="grid upper end in kW")
+    p.add_argument("--max-xr", type=_real(0.0), default=None, help="grid upper end in kW")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("sweep-slope", _cmd_sweep_slope,
@@ -464,8 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="volume_kw,price_cts CSV for the regulation market")
 
     p = add("simulate", _cmd_simulate, "sample one trajectory and integrate the SoC")
-    p.add_argument("--xr", type=_bid, default=None, help="bid in kW (default: max feasible)")
-    p.add_argument("--xb", type=_finite, default=None,
+    # Capped so that the SoC integration cannot overflow.
+    p.add_argument("--xr", type=_real(0.0, XR_ASYMPTOTE), default=None,
+                   help="bid in kW (default: max feasible)")
+    p.add_argument("--xb", type=_real(-XR_ASYMPTOTE, XR_ASYMPTOTE), default=None,
                    help="purchase in kW (default: implied by the bid)")
     p.add_argument("--n-steps", type=_count(1, MAX_POINTS), default=None)
     p.add_argument("--seed", type=_count(0), default=None)

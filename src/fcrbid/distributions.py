@@ -32,10 +32,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateSignalError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DeviationDistribution",
@@ -111,10 +113,12 @@ class DeviationDistribution:
 
     def sample(self, seed, n: int) -> np.ndarray:
         """Draw ``n`` iid deviations with a fresh generator seeded by ``seed``."""
+        import numpy as np
         return self.sample_with(np.random.default_rng(seed), n)
 
     def sample_with(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw deviations from an existing generator (shape ``size``)."""
+        import numpy as np
         u = rng.random(size)
         if self.theta is not None:
             with np.errstate(divide="ignore"):
@@ -170,6 +174,7 @@ def empirical(samples) -> DeviationDistribution:
     this leaves the mean absolute deviation unchanged.  Values must lie in
     [-1, 1].
     """
+    import numpy as np
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empirical distribution needs at least one sample")

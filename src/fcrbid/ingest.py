@@ -10,11 +10,13 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import DeviationDistribution, logistic
 from .errors import DegenerateSignalError, SingularFitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FrequencySeries",
@@ -42,6 +44,7 @@ class FrequencySeries:
     dt_h: float
 
     def __post_init__(self):
+        import numpy as np
         arr = np.asarray(self.nu, dtype=float)
         if arr.size == 0:
             raise ValueError("frequency series is empty")
@@ -64,6 +67,7 @@ class PriceSeries:
     dt_h: float = 1.0
 
     def __post_init__(self):
+        import numpy as np
         pb = np.asarray(self.pb, dtype=float)
         if pb.size == 0:
             raise ValueError("price series is empty")
@@ -80,7 +84,7 @@ class PriceSeries:
 
 def normalize_frequency(fs: FrequencySeries) -> np.ndarray:
     """Clipped-ramp normalization of frequency into deviations in [-1, 1]."""
-    return np.clip((fs.nu - fs.nu0) / fs.delta_nu, -1.0, 1.0)
+    return ((fs.nu - fs.nu0) / fs.delta_nu).clip(-1.0, 1.0)
 
 
 def fit_logistic(deviations, mad_cap: float | None = None,
@@ -93,6 +97,7 @@ def fit_logistic(deviations, mad_cap: float | None = None,
     by default; for realistic activation ratios it changes the fit by well
     under the approximation error of the logistic shape.
     """
+    import numpy as np
     arr = np.abs(np.asarray(deviations, dtype=float))
     if arr.size == 0:
         raise ValueError("cannot fit a distribution to an empty series")
@@ -119,12 +124,12 @@ def reduce_prices(ps: PriceSeries) -> tuple[float, float | None]:
     either column is absent, and the regulation price is None without an
     availability column.
     """
-    cb = float(np.mean(ps.pb))
+    cb = float(ps.pb.mean())
     if ps.pa is None:
         return cb, None
-    cr = float(np.mean(ps.pa))
+    cr = float(ps.pa.mean())
     if ps.pd is not None and ps.delta is not None:
-        cr -= float(np.mean(ps.delta * ps.pd))
+        cr -= float((ps.delta * ps.pd).mean())
     return cb, cr
 
 
@@ -134,6 +139,7 @@ def fit_elasticity(prices, volumes) -> tuple[float, float]:
     The slope keeps its sign; callers fitting the availability curve negate
     it to obtain the elasticity coefficient of the decreasing price model.
     """
+    import numpy as np
     p = np.asarray(prices, dtype=float)
     v = np.asarray(volumes, dtype=float)
     if p.size != v.size:
@@ -197,7 +203,7 @@ def read_frequency_csv(path, nu0: float = 50.0,
             values.append(_parse_float(row[1].strip(), lineno, "hz"))
     if not values:
         raise ValueError("frequency file has no data rows")
-    return FrequencySeries(np.array(values), nu0, delta_nu, _uniform_dt_hours(stamps))
+    return FrequencySeries(values, nu0, delta_nu, _uniform_dt_hours(stamps))
 
 
 _PRICE_COLUMNS = ["pb_cts_per_kwh", "pa_cts_per_kw_h", "pd_cts_per_kwh", "delta"]
@@ -232,6 +238,4 @@ def read_price_csv(path) -> PriceSeries:
     if not columns or not columns[0]:
         raise ValueError("price file has no data rows")
     dt = _uniform_dt_hours(stamps)
-    arrays = [np.array(c) for c in columns]
-    arrays += [None] * (4 - len(arrays))
-    return PriceSeries(arrays[0], arrays[1], arrays[2], arrays[3], dt)
+    return PriceSeries(*columns, *[None] * (4 - len(columns)), dt)

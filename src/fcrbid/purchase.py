@@ -29,12 +29,14 @@ Powers are in kW, energies in kWh; deviations are normalised to [-1, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import DeviationDistribution
 from .errors import AssumptionError
 from .rootfind import BISECT_MAX_ITER
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EfficiencyPair",
@@ -201,6 +203,7 @@ def purchase_power(xr: float, ctx: PurchaseContext) -> float:
 
 def purchase_power_many(xr, ctx: PurchaseContext) -> np.ndarray:
     """:func:`purchase_power` at every bid of an array, in its shape."""
+    import numpy as np
     xr = np.asarray(xr, dtype=float)
     return np.array([purchase_power(x, ctx) for x in np.ravel(xr)], dtype=float).reshape(xr.shape)
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import DeviationDistribution
 from .feasible import BatterySpec, RegulationContract
 from .purchase import EfficiencyPair
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Trajectory",
@@ -55,6 +57,7 @@ class Trajectory:
     dt_h: float
 
     def __post_init__(self):
+        import numpy as np
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("trajectory needs a nonempty 1-d value array")
@@ -77,7 +80,7 @@ class Trajectory:
     @property
     def budget_h(self) -> float:
         """Total absolute activation time, sum of |value| * dt."""
-        return float(np.sum(np.abs(self.values)) * self.dt_h)
+        return float(abs(self.values).sum() * self.dt_h)
 
     def within_budget(self, budget_h: float, tol: float = 1e-9) -> bool:
         return self.budget_h <= budget_h + tol
@@ -89,11 +92,11 @@ def _cap_to_budget(values: np.ndarray, dt_h: float, budget_h: float) -> np.ndarr
     The crossing step is scaled so the budget binds exactly; earlier steps
     are untouched.
     """
-    cum = np.cumsum(np.abs(values)) * dt_h
+    cum = abs(values).cumsum() * dt_h
     over = cum > budget_h
     if not over.any():
         return values
-    k = int(np.argmax(over))
+    k = int(over.argmax())
     spent = cum[k - 1] if k > 0 else 0.0
     out = values.copy()
     room = (budget_h - spent) / dt_h
@@ -114,8 +117,7 @@ def sample_trajectory(dist: DeviationDistribution, con: RegulationContract,
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     dt = con.horizon_h / n_steps
-    rng = np.random.default_rng(seed)
-    values = dist.sample_with(rng, n_steps)
+    values = dist.sample(seed, n_steps)
     if cap_budget:
         values = _cap_to_budget(values, dt, con.budget_h)
     return Trajectory(values, dt)
@@ -124,6 +126,7 @@ def sample_trajectory(dist: DeviationDistribution, con: RegulationContract,
 def _charge_rate(power, eff: EfficiencyPair):
     """Rate of change of the state of charge at a grid power: eta_plus * p
     when charging, p / eta_minus when discharging (both efficiencies <= 1)."""
+    import numpy as np
     return np.minimum(eff.eta_plus * power, power / eff.eta_minus)
 
 
@@ -135,6 +138,7 @@ def integrate_soc(xb: float, xr: float, traj: Trajectory,
     the discharge efficiency.  No clipping at the capacity bounds: bound
     violations are exactly what the feasibility checks look for.
     """
+    import numpy as np
     power = xb + traj.values * xr
     soc = np.empty(traj.n_steps + 1)
     soc[0] = 0.0
@@ -160,6 +164,7 @@ def worst_case_signals(con: RegulationContract,
     When the budget is not a whole number of steps, the step in which it
     runs out carries the fraction of the budget that is left.
     """
+    import numpy as np
     dt = con.horizon_h / n_steps
     steps = con.budget_h / dt
     k = round(steps)
@@ -184,6 +189,7 @@ def mc_expected_terminal_soc(xb: float, xr: float, bat: BatterySpec,
     results are aggregated in chunk order, so the output depends only on
     (seed, n_paths).
     """
+    import numpy as np
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     dt = con.horizon_h / n_steps
@@ -213,6 +219,7 @@ def rearrange_nonincreasing(traj: Trajectory) -> Trajectory:
     The rearranged signal front-loads the deviations; it dominates the
     original pathwise in state of charge and preserves the budget exactly.
     """
+    import numpy as np
     if float(np.min(traj.values)) < 0.0:
         raise ValueError(
             "rearrangement needs a nonnegative signal; apply to absolute "
@@ -295,6 +302,7 @@ def check_robust_feasibility(xb: float, xr: float, bat: BatterySpec,
     spend its last fraction of a step at part deviation, so a pathwise
     attained level may fall short of its closed form.
     """
+    import numpy as np
     if xr < 0.0:
         raise ValueError("regulation power must be nonnegative")
     gamma = con.budget_h
@@ -396,7 +404,7 @@ def read_trajectory_csv(path) -> Trajectory:
                 values.append(float(line))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: not a number: {line!r}") from exc
-    traj = Trajectory(np.array(values), dt)
+    traj = Trajectory(values, dt)
     if abs(traj.horizon_h - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(
             f"header horizon {horizon} h does not match "

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -533,6 +534,21 @@ def test_simulate_trajectory_roundtrip(config, tmp_path, capsys):
     assert math.isclose(report["budget_h"], traj.budget_h, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("flag", ["--xb=1e308", "--xb=-1e308", "--xr=1e308"])
+def test_simulate_power_above_the_cap_exits_2(config, capsys, flag):
+    """A power above XR_ASYMPTOTE in size would overflow the SoC integration;
+    the parser rejects it, naming the flag, before anything is computed."""
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exc:
+        warnings.simplefilter("always")
+        main(["simulate", "--config", config(), "--n-steps", "10", flag])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag.split('=')[0]}: must be at " in captured.err
+    assert "Traceback" not in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_simulate_capped_budget_never_exceeds_contract(config, capsys):
     code, out, _ = run(capsys, "simulate", "--config", config(),
                        "--n-steps", "200", "--seed", "7")
@@ -746,3 +762,57 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+
+def _child(*argv):
+    """Run Python in a fresh interpreter on the package under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fcrbid.__file__).parents[1]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_closed_form_commands_do_not_load_numpy(config):
+    """Closed forms run on floats: neither ``import fcrbid`` nor a closed-form
+    command, nor a rejected config, loads NumPy."""
+    bad = base_doc()
+    bad["battery"]["cap_kwh"] = -1.0
+    cfg = config()
+    runs = [
+        (["solve", "--config", cfg], 0),
+        (["analytic", "--config", cfg], 0),
+        (["bounds", "--config", cfg, "--grid", "11"], 0),
+        (["profit", "--config", cfg, "--horizons", "4,12"], 0),
+        (["sweep-slope", "--eta-grid", "0.40:1.00:0.02", "--mad", "0.1"], 0),
+        (["solve", "--config", config(bad, "bad.json")], 2),
+    ]
+    script = "\n".join([
+        "import json, sys",
+        "import fcrbid",
+        "from fcrbid.cli import main",
+        "assert 'numpy' not in sys.modules, 'import fcrbid'",
+        "for argv, code in json.loads(sys.argv[1]):",
+        "    assert main(argv) == code, argv",
+        "    assert 'numpy' not in sys.modules, argv",
+    ])
+    proc = _child("-c", script, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-steps", "48"],
+    ["verify", "--paths", "200", "--n-steps", "12", "--n-random", "10"],
+    ["fit"],
+])
+def test_numpy_commands_run_in_a_fresh_interpreter(config, tmp_path, argv):
+    """The commands that sample or fit import NumPy where they need it."""
+    if argv == ["fit"]:
+        argv = ["fit", "--frequency", _write_frequency(tmp_path / "f.csv", [0.1, -0.3, 0.2])]
+    else:
+        argv = [*argv, "--config", config()]
+    proc = _child("-m", "fcrbid.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == argv[0]

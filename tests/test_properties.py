@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fcrbid import (
@@ -32,6 +32,7 @@ from fcrbid import (
     three_point_upper,
     two_point_lower,
 )
+from fcrbid.cli import _linspace
 
 from test_solver import _x_space_solve
 
@@ -209,3 +210,19 @@ def test_scdf_symmetry_identity(law, z):
     accumulate rounding."""
     steps = 1 if law.theta is not None else len(law._tables[0])
     assert abs(law.scdf(z) - law.scdf(-z) - z) <= steps * 2.0**-52 * max(1.0, abs(z))
+
+
+@PROPERTY
+@given(st.floats(0.0, math.inf, exclude_max=True), st.integers(1, 1000))
+@example(0.0, 1)
+@example(0.0, 201)
+@example(-0.0, 3)
+@example(5e-324, 201)
+@example(1e300, 2)
+@example(1.7976931348623157e308, 201)
+def test_bounds_grid_is_numpy_linspace(hi, n):
+    """The float grid of ``fcrbid bounds`` is numpy.linspace(0, hi, n) bit
+    for bit, also where the step underflows to zero."""
+    with np.errstate(over="ignore"):  # numpy overwrites an overflowed last point with hi
+        want = np.linspace(0.0, hi, n).tolist()
+    assert [*map(float.hex, _linspace(hi, n))] == [*map(float.hex, want)]
