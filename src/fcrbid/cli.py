@@ -344,6 +344,10 @@ def _cmd_simulate(args) -> int:
     ctx = context_for(cfg.battery, cfg.contract, cfg.distribution)
     xr = args.xr if args.xr is not None else max_feasible_bid(cfg.battery, cfg.contract, ctx)
     xb = args.xb if args.xb is not None else purchase_power(xr, ctx)
+    # The SoC moves by at most horizon * (|xb| + xr) / eta_minus; 4x is room for rounding.
+    if not math.isfinite(4.0 * cfg.contract.horizon_h * (abs(xb) + xr) / cfg.battery.eff.eta_minus):
+        raise ConfigError(f"contract.horizon_h: {cfg.contract.horizon_h} h with --xr {xr} kW and "
+                          f"--xb {xb} kW moves the state of charge beyond float range")
     n_steps = args.n_steps or cfg.n_steps or 8640
     seed = args.seed if args.seed is not None else cfg.seed
     traj = sample_trajectory(

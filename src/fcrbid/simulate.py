@@ -5,7 +5,10 @@ Everything here works on explicit deviation trajectories: sampling them
 charge step by step, building the two extreme signals, and checking the
 closed-form feasibility reductions pathwise.  The step integration is
 exact because signals are piecewise constant, so any disagreement with
-the closed forms is a real defect, not discretization error.
+the closed forms is a real defect, not discretization error.  The
+Monte-Carlo oracle and the feasibility sweep work in row blocks of at most
+SWEEP_BLOCK elements: draws continue one seeded stream from block to block
+and every row is reduced whole, so no output depends on the block size.
 """
 
 from __future__ import annotations
@@ -39,14 +42,15 @@ __all__ = [
 # Two-sided 99% normal quantile, for Monte-Carlo confidence intervals.
 Z99 = 2.5758293035489004
 
-# Paths per sampling chunk.  Chunk seeds derive from (seed, chunk index),
-# so results for a given (seed, n_paths) are bit-identical no matter how
-# chunks are scheduled, as long as partial sums are combined in index order.
+# Paths per sampling chunk.  Chunk c draws from its own generator, seeded by
+# (seed, c), so results for a given (seed, n_paths) do not depend on how
+# chunks are scheduled, as long as their rows land in path order.
 CHUNK = 8192
 
-# Signal-array elements per block of the feasibility sweep: it bounds the
-# memory, and a block's temporaries (256 KiB each) stay in a core's L2 cache.
-SWEEP_BLOCK = 32768
+# Array elements per row block (see above).  It bounds the memory, and 64 KiB
+# temporaries stay in L2 and below the 128 KiB at which malloc maps fresh
+# pages, which are faulted in anew on every allocation.
+SWEEP_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,10 +188,10 @@ def mc_expected_terminal_soc(xb: float, xr: float, bat: BatterySpec,
     """Monte-Carlo mean terminal state of charge and its 99% half-width.
 
     Paths draw iid deviations per step without budget capping, matching
-    the marginal-law derivation of the closed-form expectation.  Sampling
-    is chunked; chunk seeds derive from (seed, chunk index) and partial
-    results are aggregated in chunk order, so the output depends only on
-    (seed, n_paths).
+    the marginal-law derivation of the closed-form expectation.  Chunk c of
+    CHUNK paths reads ``default_rng([seed, c])`` in row blocks, and
+    ``sample_with`` maps each draw to its charge rate (once per atom for a
+    discrete law), so the output depends only on (seed, n_paths).
     """
     import numpy as np
     if n_paths < 100:
@@ -196,18 +200,16 @@ def mc_expected_terminal_soc(xb: float, xr: float, bat: BatterySpec,
     if xr == 0.0:
         # Deterministic: every path charges at the same constant rate.
         return bat.soc0_kwh + con.horizon_h * float(_charge_rate(xb, bat.eff)), 0.0
-    chunks = []
-    done = 0
-    chunk_idx = 0
-    while done < n_paths:
-        size = min(CHUNK, n_paths - done)
+    terminal = np.empty(n_paths)
+    rows = max(1, SWEEP_BLOCK // n_steps)
+    for chunk_idx, start in enumerate(range(0, n_paths, CHUNK)):
         rng = np.random.default_rng([seed, chunk_idx])
-        draws = dist.sample_with(rng, (size, n_steps))
-        rate = _charge_rate(xb + draws * xr, bat.eff)
-        chunks.append(bat.soc0_kwh + dt * rate.sum(axis=1))
-        done += size
-        chunk_idx += 1
-    terminal = np.concatenate(chunks)
+        stop = min(start + CHUNK, n_paths)
+        for lo in range(start, stop, rows):
+            hi = min(lo + rows, stop)
+            rate = dist.sample_with(rng, (hi - lo, n_steps),
+                                    lambda z: _charge_rate(xb + z * xr, bat.eff))
+            terminal[lo:hi] = bat.soc0_kwh + dt * rate.sum(axis=1)
     mean = float(np.mean(terminal))
     half_width = Z99 * float(np.std(terminal, ddof=1)) / math.sqrt(n_paths)
     return mean, half_width
@@ -365,8 +367,6 @@ def check_robust_feasibility(xb: float, xr: float, bat: BatterySpec,
         n_signals += len(values)
         if n_signals >= n_random + 2:
             break
-        # Members come from one stream in order, so the block size does not
-        # change them.
         values = rng.uniform(-1.0, 1.0, (min(rows, n_random + 2 - n_signals), n_steps))
         activation = np.abs(values).sum(axis=1) * dt
         values *= np.minimum(1.0, gamma / activation)[:, None]

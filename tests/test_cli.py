@@ -549,6 +549,23 @@ def test_simulate_power_above_the_cap_exits_2(config, capsys, flag):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_simulate_energy_beyond_float_range_exits_2(config, capsys):
+    """The power cap does not bound the energy: over a horizon of 1e300 h
+    the state of charge leaves float range.  That exits 2 naming the horizon
+    and the power flags, with no warning and no report."""
+    doc = base_doc()
+    doc["contract"] = {"horizon_h": 1e300, "budget_h": 2e299}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "simulate", "--config", config(doc),
+                             "--xr", "1e12", "--xb=1e12", "--n-steps", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: contract.horizon_h: ")
+    assert "--xr" in err and "--xb" in err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_simulate_capped_budget_never_exceeds_contract(config, capsys):
     code, out, _ = run(capsys, "simulate", "--config", config(),
                        "--n-steps", "200", "--seed", "7")

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -169,6 +170,114 @@ def test_array_and_scalar_paths_agree():
     for d in (logistic(0.0816), logistic(0.3), logistic(1.0)):
         for zi in z.tolist():
             assert (d.scdf(np.float64(zi)), d.cdf(np.array(zi))) == (d.scdf(zi), d.cdf(zi))
+
+
+def reference_draws(dist, rng, size):
+    """The sampler as it read before the guide table, a binary search over
+    the cumulative masses for a discrete law: the bit-identity reference."""
+    u = rng.random(size)
+    if dist.theta is not None:
+        with np.errstate(divide="ignore"):
+            draw = np.log(u / (1.0 - u)) / dist.theta
+        return np.clip(draw, -1.0, 1.0)
+    locs, cum, _ = dist._tables
+    idx = np.searchsorted(cum[1:], u, side="right")
+    return np.asarray(locs)[np.minimum(idx, len(locs) - 1)]
+
+
+class CountedUniforms(np.ndarray):
+    """Fixed uniforms that count the guide lookup's correction passes: each
+    pass compares ``edges[i] <= u``, which NumPy hands to ``u.__ge__``."""
+
+    def __ge__(self, other):
+        self.passes += 1
+        return np.asarray(self) >= other
+
+
+class FixedGenerator:
+    """Stands in for a Generator whose ``random`` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.shape
+        return self.u
+
+
+def atom_index(law, u):
+    """The atom index ``sample_with`` looks up for each uniform in ``u``,
+    and the number of correction passes it took."""
+    counted = np.asarray(u, dtype=float).view(CountedUniforms)
+    counted.passes = 0
+    index = law.sample_with(FixedGenerator(counted), counted.shape, lambda z: np.arange(z.size))
+    return np.asarray(index), counted.passes
+
+
+def searched_index(law, u):
+    cum = law._tables[1]
+    return np.minimum(np.searchsorted(cum[1:], u, "right"), len(cum) - 2)
+
+
+def edge_uniforms(law):
+    """0, the largest float below 1, and each mass edge below 1 with the
+    float just under it."""
+    edges = [c for c in law._tables[1] if c < 1.0]
+    return np.array([0.0, 1.0 - 2.0**-53, *edges, *(math.nextafter(c, 0.0) for c in edges)])
+
+
+@functools.cache
+def clustered_laws():
+    """Masses far below the guide's cell: one value a million times beside
+    1000 singletons, and the three-point law whose middle atom has mass 1e-12."""
+    singletons = np.random.default_rng(21).uniform(-1.0, 1.0, 1000)
+    return (empirical(np.concatenate((np.full(10**6, 0.3), singletons))),
+            three_point_upper(1.0 - 1e-12))
+
+
+def perfbench_like_laws():
+    """The extremal laws over their mad range and 128-sample empirical laws
+    drawn as the benchmark draws them."""
+    rng = np.random.default_rng(22)
+    laws = [f(mad) for mad in np.linspace(0.01, 1.0, 100) for f in (two_point_lower, three_point_upper)]
+    for mad in rng.uniform(0.02, 0.9, 20):
+        laws.append(empirical(np.clip(rng.laplace(0.0, mad, 128), -1.0, 1.0).round(6)))
+    return laws
+
+
+def test_sampling_matches_the_binary_search_bit_for_bit():
+    """The guide-table sampler returns the draws of the binary search, byte
+    for byte, and a discrete law's f is applied to its atoms."""
+    for law in (logistic(0.0816), two_point_lower(0.3), three_point_upper(0.2),
+                empirical(np.random.default_rng(3).uniform(-1.0, 1.0, 607)), *clustered_laws()):
+        for size in (1000, (13, 48)):
+            got = law.sample_with(np.random.default_rng([4, 1]), size)
+            want = reference_draws(law, np.random.default_rng([4, 1]), size)
+            assert got.tobytes() == want.tobytes(), law.kind
+            doubled = law.sample_with(np.random.default_rng([4, 1]), size, lambda z: 2.0 * z)
+            assert doubled.tobytes() == (2.0 * want).tobytes(), law.kind
+
+
+def test_guide_lookup_takes_at_most_two_passes():
+    """Deterministic work count: on the extremal laws and 128-sample empirical
+    laws a lookup moves at most one atom, so it compares at most twice."""
+    u = np.concatenate((np.random.default_rng(23).random(20_000), [0.0, 1.0 - 2.0**-53]))
+    for law in perfbench_like_laws():
+        for us in (u, edge_uniforms(law)):
+            index, passes = atom_index(law, us)
+            assert 1 <= passes <= 2, (law.kind, law.mad)
+            np.testing.assert_array_equal(index, searched_index(law, us))
+
+
+def test_guide_lookup_stays_exact_on_clustered_masses():
+    """Where many edges share a guide cell the lookup takes more passes (about
+    30 for the empirical law), and still lands on the binary search's atom."""
+    u = np.random.default_rng(24).random(20_000)
+    for law in clustered_laws():
+        for us in (u, edge_uniforms(law)):
+            np.testing.assert_array_equal(atom_index(law, us)[0], searched_index(law, us))
+    crowded = clustered_laws()[0]
+    assert atom_index(crowded, edge_uniforms(crowded))[1] > 20
 
 
 def test_sampling_is_deterministic():

@@ -34,6 +34,7 @@ from fcrbid import (
 )
 from fcrbid.cli import _linspace
 
+from test_distributions import atom_index, edge_uniforms, searched_index
 from test_solver import _x_space_solve
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
@@ -210,6 +211,19 @@ def test_scdf_symmetry_identity(law, z):
     accumulate rounding."""
     steps = 1 if law.theta is not None else len(law._tables[0])
     assert abs(law.scdf(z) - law.scdf(-z) - z) <= steps * 2.0**-52 * max(1.0, abs(z))
+
+
+@PROPERTY
+@given(deviation_laws().filter(lambda law: law.is_discrete),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+@example(three_point_upper(1.0 - 1e-12), [])
+@example(empirical([0.3] * 100_000 + [k / 1000.0 - 0.5 for k in range(1000)]), [])
+def test_guide_lookup_is_the_binary_search(law, us):
+    """The guide table's atom index is min(searchsorted(cum[1:], u, "right"),
+    K - 1) at 0, just below 1, on and just below every mass edge and at any
+    other u in [0, 1), also where tiny masses crowd one cell."""
+    u = np.concatenate((edge_uniforms(law), us))
+    np.testing.assert_array_equal(atom_index(law, u)[0], searched_index(law, u))
 
 
 @PROPERTY

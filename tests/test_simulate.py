@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,17 +13,23 @@ from fcrbid import (
     analytic_bid,
     asymptotic_slope,
     check_robust_feasibility,
+    context_for,
+    empirical,
     expected_charge_rate,
     integrate_soc,
     logistic,
     mc_expected_terminal_soc,
+    purchase_power,
     read_trajectory_csv,
     rearrange_nonincreasing,
     sample_trajectory,
+    three_point_upper,
     two_point_lower,
     worst_case_signals,
     write_trajectory_csv,
 )
+
+from test_distributions import reference_draws
 
 
 def balanced_instance():
@@ -187,6 +194,64 @@ def test_mc_determinism_and_chunking():
     assert a != c
     with pytest.raises(ValueError):
         mc_expected_terminal_soc(*args, 24, 99, seed=4)
+
+
+def _mc_reference(xb, xr, bat, con, dist, n_steps, n_paths, seed):
+    """The oracle as it read with one (CHUNK, n_steps) draw array per chunk,
+    the rate taken per draw and a binary-search sampler: the reference that
+    row blocks and per-atom rates must match bit for bit."""
+    dt = con.horizon_h / n_steps
+    chunks = []
+    done = 0
+    chunk_idx = 0
+    while done < n_paths:
+        size = min(simulate.CHUNK, n_paths - done)
+        rng = np.random.default_rng([seed, chunk_idx])
+        draws = reference_draws(dist, rng, (size, n_steps))
+        rate = simulate._charge_rate(xb + draws * xr, bat.eff)
+        chunks.append(bat.soc0_kwh + dt * rate.sum(axis=1))
+        done += size
+        chunk_idx += 1
+    terminal = np.concatenate(chunks)
+    mean = float(np.mean(terminal))
+    half_width = simulate.Z99 * float(np.std(terminal, ddof=1)) / math.sqrt(n_paths)
+    return mean, half_width
+
+
+MC_LAWS = [logistic(0.25), two_point_lower(0.3), three_point_upper(0.2),
+           empirical(np.random.default_rng(3).uniform(-1.0, 1.0, 607))]
+
+
+@pytest.mark.parametrize("law", MC_LAWS, ids=lambda law: law.kind)
+@pytest.mark.parametrize("target", [20.0, 35.0, 5.0], ids=["balanced", "charging", "discharging"])
+def test_mc_matches_the_unblocked_oracle_bit_for_bit(law, target):
+    """Row blocks, one charge rate per atom and the guide table keep every
+    float: mean and half-width equal the one-array oracle's across chunk
+    edges (8192, 8193 paths) and step counts from 1 to 700."""
+    bat = BatterySpec(60.0, 18.0, 15.0, 20.0, target, EfficiencyPair(0.9, 0.8))
+    con = RegulationContract(12.0, 2.4)
+    xr = 4.0
+    xb = purchase_power(xr, context_for(bat, con, law))
+    for n_paths in (100, 8192, 8193, 20000):
+        for n_steps in (1, 48, 700):
+            args = (xb, xr, bat, con, law, n_steps, n_paths, 9)
+            assert mc_expected_terminal_soc(*args) == _mc_reference(*args), (n_paths, n_steps)
+
+
+@pytest.mark.parametrize("law", [MC_LAWS[0], MC_LAWS[3]], ids=lambda law: law.kind)
+def test_mc_memory_is_bounded_by_the_block(law):
+    """200 paths of 100 000 steps: the oracle's peak allocation stays at a
+    few row blocks (here one 800 kB row each), not at (paths, steps)."""
+    bat, con = balanced_instance()
+    n_steps = 100_000
+    block_bytes = 8 * max(simulate.SWEEP_BLOCK, n_steps)
+    tracemalloc.start()
+    try:
+        mc_expected_terminal_soc(0.5, 2.0, bat, con, law, n_steps, 200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * block_bytes
 
 
 def test_rearrangement():
