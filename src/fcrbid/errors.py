@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "AssumptionError", "InfeasibleProblemError", "TargetMismatchError",
+           "DegenerateSignalError", "SingularFitError"]
+
 
 class ConfigError(ValueError):
     """Invalid configuration input; the message names the offending field."""

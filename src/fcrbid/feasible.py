@@ -141,9 +141,9 @@ def analytic_bid(bat: BatterySpec, con: RegulationContract, slope: float) -> flo
     return _balanced_bid(slope, *_band(bat, con))
 
 
-def _piece_bid(k: float, c: float, ctx: PurchaseContext) -> tuple[float, float]:
+def _piece_bid(k: float, c: float, ctx: PurchaseContext) -> float:
     """Bid at which the purchase first meets the band piece k x + c from zero
-    bid (inf if never), and the bid's typical rounding error.
+    bid (inf if never).
 
     The bid is d / g(u) at the first root of h(u) = d (u - k) - c g(u).  As
     g(u) <= s u (s = eta_plus for d > 0, 1/eta_minus for d < 0; equal for
@@ -158,16 +158,14 @@ def _piece_bid(k: float, c: float, ctx: PurchaseContext) -> tuple[float, float]:
         g = eta_p * u - drain * dist.scdf(-u)
         slope = d - c * (eta_p + drain * dist.cdf(-u))
         if not slope * k > 0.0:
-            return math.inf, 0.0
+            return math.inf
         new = u - (d * (u - k) - c * g) / slope
         if not new > u:
             break
         u = new
     if d * g <= 0.0:  # past the balanced root: no bid
-        return math.inf, 0.0
-    # Near balance g cancels: its relative error is (|eta_plus u| + |drain
-    # scdf(-u)|) / |g| ulps at most, and d / g's with it; a quarter is typical.
-    return d / g, 0.25 * math.ulp(d / g) * (abs(eta_p * u) + abs(eta_p * u - g)) / abs(g)
+        return math.inf
+    return d / g
 
 
 def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
@@ -233,11 +231,11 @@ def max_feasible_bid(bat: BatterySpec, con: RegulationContract,
     if inside and not dips:
         return crossing
     if d == 0.0:
-        x, error = _balanced_bid(ctx.slope, *band), 0.0
+        x = _balanced_bid(ctx.slope, *band)
     else:
         pieces = ((1.0, -l1), (q, -l2), (-1.0, u1), (-q, u2))  # xb = k x + c, k > 0 below
-        x, error = min(_piece_bid(k, c, ctx) for k, c in pieces
-                       if dips and k == q or k * (at_crossing - (k * crossing + c)) < 0.0)
+        x = min(_piece_bid(k, c, ctx) for k, c in pieces
+                if dips and k == q or k * (at_crossing - (k * crossing + c)) < 0.0)
         if inside and x >= crossing:
             return crossing
-    return last_true(delivers, x - error, x + error)
+    return last_true(delivers, x, x)

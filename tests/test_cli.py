@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run in process through ``main(argv)``."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -793,8 +794,8 @@ def _child(*argv):
 
 
 def test_closed_form_commands_do_not_load_numpy(config):
-    """Closed forms run on floats: neither ``import fcrbid`` nor a closed-form
-    command, nor a rejected config, loads NumPy."""
+    """Closed forms run on floats: neither ``from fcrbid import *`` nor a
+    closed-form command, nor a rejected config, loads NumPy."""
     bad = base_doc()
     bad["battery"]["cap_kwh"] = -1.0
     cfg = config()
@@ -808,15 +809,29 @@ def test_closed_form_commands_do_not_load_numpy(config):
     ]
     script = "\n".join([
         "import json, sys",
-        "import fcrbid",
+        "from fcrbid import *",
         "from fcrbid.cli import main",
-        "assert 'numpy' not in sys.modules, 'import fcrbid'",
+        "assert 'numpy' not in sys.modules, 'from fcrbid import *'",
         "for argv, code in json.loads(sys.argv[1]):",
         "    assert main(argv) == code, argv",
         "    assert 'numpy' not in sys.modules, argv",
     ])
     proc = _child("-c", script, json.dumps(runs))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_each_library_name_once():
+    """``fcrbid.__all__`` is ``__version__`` and the public names of the eight
+    library modules, each once and each the module's own object."""
+    assert len(fcrbid.__all__) == len(set(fcrbid.__all__))
+    names = {"__version__"}
+    for m in ("distributions", "purchase", "feasible", "solver", "econ", "simulate", "ingest",
+              "errors"):
+        module = importlib.import_module(f"fcrbid.{m}")
+        for name in module.__all__:
+            assert getattr(fcrbid, name) is getattr(module, name), (module.__name__, name)
+        names.update(module.__all__)
+    assert set(fcrbid.__all__) == names
 
 
 @pytest.mark.parametrize("argv", [
