@@ -4,8 +4,9 @@ The regulation signal is modelled as a stationary random deviation on
 [-1, 1], symmetric about zero.  Every family exposes the cumulative
 distribution function, its antiderivative anchored at -1 (the
 super-cumulative distribution function, ``scdf``) and seeded sampling.
-``cdf`` and ``scdf`` take a float; sampling returns arrays.  The
-mean absolute deviation ``mad`` acts as the single shape parameter; all
+``scdf_cdf`` returns both functions at a float from one evaluation of the
+law, and ``cdf`` and ``scdf`` are its two parts; sampling returns arrays.
+The mean absolute deviation ``mad`` acts as the single shape parameter; all
 families satisfy mad = 2 * scdf(0).
 
 Supported families
@@ -52,13 +53,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-def _sigmoid(t: float) -> float:
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
 @dataclass(frozen=True, eq=False)
 class DeviationDistribution:
     """A symmetric deviation distribution on [-1, 1].
@@ -81,16 +75,29 @@ class DeviationDistribution:
     def is_discrete(self) -> bool:
         return self.theta is None
 
+    def scdf_cdf(self, z: float) -> tuple[float, float]:
+        """``(scdf(z), cdf(z))`` from one evaluation of the law: one search of
+        a discrete law's atom tables, or one ``exp`` for the logistic."""
+        z = float(z)
+        if self.theta is not None:
+            th = self.theta
+            if z > 0.0:
+                e = math.exp(-th * z)
+                return z + math.log1p(e) / th, 1.0 / (1.0 + e)
+            e = math.exp(th * z)
+            return math.log1p(e) / th, e / (1.0 + e)
+        locs, cum, cum_wx = self._tables
+        k = bisect_right(locs, z)
+        return cum[k] * z - cum_wx[k], cum[k]
+
     def cdf(self, z: float) -> float:
         """Right-continuous CDF."""
-        if self.theta is not None:
-            return _sigmoid(self.theta * float(z))
-        return self._tables[1][bisect_right(self._tables[0], float(z))]
+        return self.scdf_cdf(z)[1]
 
     def cdf_pair(self, z: float) -> tuple[float, float]:
         """Left and right limits of the CDF at ``z`` (equal when continuous)."""
         if self.theta is not None:
-            v = self.cdf(float(z))
+            v = self.cdf(z)
             return v, v
         z = float(z)
         locs, cum, _ = self._tables
@@ -102,15 +109,7 @@ class DeviationDistribution:
         Convex, nondecreasing, and equal to max(0, z) outside the support.
         Satisfies the symmetry identity scdf(z) = scdf(-z) + z.
         """
-        z = float(z)
-        if self.theta is not None:
-            th = self.theta
-            if z > 0.0:
-                return z + math.log1p(math.exp(-th * z)) / th
-            return math.log1p(math.exp(th * z)) / th
-        locs, cum, cum_wx = self._tables
-        k = bisect_right(locs, z)
-        return cum[k] * z - cum_wx[k]
+        return self.scdf_cdf(z)[0]
 
     def sample(self, seed, n: int) -> np.ndarray:
         """Draw ``n`` iid deviations with a fresh generator seeded by ``seed``."""

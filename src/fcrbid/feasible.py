@@ -149,14 +149,16 @@ def _piece_bid(k: float, c: float, ctx: PurchaseContext) -> float:
     g(u) <= s u (s = eta_plus for d > 0, 1/eta_minus for d < 0; equal for
     |u| >= 1 under a law on [-1, 1]), the root of d (u - k) = c s u lies on
     the zero-bid side of it, and h is concave (k > 0) or convex: Newton with
-    g's left derivative climbs from there.
+    g's left derivative climbs from there, g and g' from one law evaluation
+    per step.
     """
     d, dist = ctx.drift_target, ctx.dist
     eta_p, drain = ctx.eff.eta_plus, ctx.eff.drain
     u = d * k / (d - c * (eta_p if d > 0.0 else 1.0 / ctx.eff.eta_minus))
     for _ in range(BISECT_MAX_ITER):
-        g = eta_p * u - drain * dist.scdf(-u)
-        slope = d - c * (eta_p + drain * dist.cdf(-u))
+        phi, f = dist.scdf_cdf(-u)
+        g = eta_p * u - drain * phi
+        slope = d - c * (eta_p + drain * f)
         if not slope * k > 0.0:
             return math.inf
         new = u - (d * (u - k) - c * g) / slope

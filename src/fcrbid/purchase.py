@@ -19,9 +19,10 @@ This module evaluates that coupling, one float bid at a time:
 The rate is 1-homogeneous in (purchase, bid): rate(xb, xr) = xr * g(xb / xr)
 with g(u) = eta_plus * u - drain * scdf(-u), strictly increasing in u.  At a
 given bid the purchase and its slopes come from one scalar Newton inverse of
-g.  The stationary bid's search goes the other way: at a purchase per unit
-of bid u the bid drift_target / g(u), the purchase bid * u and the slopes
-are explicit, and under a discrete law g is affine between atoms.
+g, each step taking scdf(-u) and F(-u) from one evaluation of the law.  The
+stationary bid's search goes the other way: at a purchase per unit of bid u
+the bid drift_target / g(u), the purchase bid * u and the slopes are
+explicit, and under a discrete law g is affine between atoms.
 
 Powers are in kW, energies in kWh; deviations are normalised to [-1, 1].
 """
@@ -112,18 +113,19 @@ def _inverse_unit_rate(v: float, eff: EfficiencyPair, dist: DeviationDistributio
     """Purchase per unit of bid, u, solving g(u) = v.
 
     g(u) = eta_plus * u - drain * scdf(-u) is increasing and concave, with
-    g'(u) = eta_plus + drain * F(-u); either one-sided CDF limit is a
-    supergradient, so a Newton tangent never overshoots the root.  The start
-    inverts min(eta_plus * u, u / eta_minus), which lies above g, so it sits
-    below the root; Newton then climbs and stops once the iterate no longer
-    rises.  The result depends on v alone, which keeps purchases exactly
-    covariant under power-of-two rescaling of the bid and the target.
+    g'(u) = eta_plus + drain * F(-u), both from one ``scdf_cdf`` call per
+    step; either one-sided CDF limit is a supergradient, so a Newton tangent
+    never overshoots the root.  The start inverts min(eta_plus * u,
+    u / eta_minus), which lies above g, so it sits below the root; Newton
+    then climbs and stops once the iterate no longer rises.  The result
+    depends on v alone, which keeps purchases exactly covariant under
+    power-of-two rescaling of the bid and the target.
     """
     eta_p, drain = eff.eta_plus, eff.drain
     u = max(v / eta_p, eff.eta_minus * v)
     for _ in range(BISECT_MAX_ITER):
-        rate = eta_p * u - drain * dist.scdf(-u)
-        new = u - (rate - v) / (eta_p + drain * dist.cdf(-u))
+        phi, f = dist.scdf_cdf(-u)
+        new = u - (eta_p * u - drain * phi - v) / (eta_p + drain * f)
         if not new > u:
             break
         u = new
@@ -239,13 +241,14 @@ def _purchase_point(xr: float, ctx: PurchaseContext) -> tuple[float, float, floa
     return ctx.slope * xr if xr > XR_ASYMPTOTE else xr * u, min(s1, s2), max(s1, s2)
 
 
-def _unit_bid(u: float, ctx: PurchaseContext) -> tuple[float, float, float]:
-    """Bid, purchase and scdf(-u) at purchase per unit of bid ``u`` (unbalanced target)."""
-    phi = ctx.dist.scdf(-u)
+def _unit_bid(u: float, ctx: PurchaseContext) -> tuple[float, float, float, float]:
+    """Bid, purchase, scdf(-u) and cdf(-u) at purchase per unit of bid ``u``
+    (unbalanced target), from one evaluation of the law."""
+    phi, f = ctx.dist.scdf_cdf(-u)
     rate = ctx.eff.eta_plus * u - ctx.eff.drain * phi
     # g vanishes only at the balanced root, where no bid is defined.
     xr = ctx.drift_target / rate if rate != 0.0 else float("inf")
-    return xr, xr * u, phi
+    return xr, xr * u, phi, f
 
 
 def purchase_bounds(xr: float, ctx: PurchaseContext) -> tuple[float, float]:

@@ -6,7 +6,6 @@ collapses to adjacent floats (at most 200 halvings), which keeps every
 result exactly covariant under power-of-two rescaling of the inputs.
 """
 
-import functools
 import math
 
 BISECT_MAX_ITER = 200
@@ -32,13 +31,15 @@ def bisect_threshold(pred, lo, hi):
 def last_true(pred, lo, hi):
     """Largest float >= 0 where ``pred`` holds and fails at the next float up,
     from a guess [lo, hi] of the bracket; ``pred`` holds at 0 and fails far
-    out.  An end on the wrong side moves outward by doubling steps, then bisect."""
-    pred = functools.cache(pred)
+    out.  An end on the wrong side moves outward by doubling steps, then bisect;
+    no point is tested twice."""
     lo = max(lo, 0.0)
     hi = max(hi, math.nextafter(lo, math.inf))
     step = hi - lo
-    while not pred(lo):
-        lo, hi, step = max(lo - step, 0.0), lo, 2.0 * step
-    while pred(hi):
+    holds = pred(lo)
+    while holds and pred(hi):
         lo, hi, step = hi, hi + step, 2.0 * step
+    while not holds:
+        lo, hi, step = max(lo - step, 0.0), lo, 2.0 * step
+        holds = pred(lo)
     return bisect_threshold(lambda x: not pred(x), lo, hi)[0]

@@ -151,7 +151,8 @@ def _newton_bracket(ctx: PurchaseContext, coefficients, xr_max: float,
     - ratio changes sign, under the logistic law.
 
     Safeguarded Newton (Brent, 1973) with s'(u) = -drain f(-u) g(u) /
-    (eta_plus + drain F(-u))^2, f = theta F (1 - F): a step that leaves the
+    (eta_plus + drain F(-u))^2, f = theta F (1 - F), where one law
+    evaluation per step gives scdf(-u) and F(-u): a step that leaves the
     bracket bisects it.  The zero-bid end starts at |u| = 1 and doubles while
     the untruncated law's slope still reaches the ratio there.
     """
@@ -159,8 +160,7 @@ def _newton_bracket(ctx: PurchaseContext, coefficients, xr_max: float,
     eta_p, drain, d, theta = ctx.eff.eta_plus, ctx.eff.drain, ctx.drift_target, ctx.dist.theta
 
     def h(u):  # h, h' and the bid; g = d / x and g' = eta_plus + drain F(-u)
-        x, xb, phi = _unit_bid(u, ctx)
-        f = ctx.dist.cdf(-u)
+        x, xb, phi, f = _unit_bid(u, ctx)
         dg, ratio, level = eta_p + drain * f, _ratio(coefficients, x, xb), cb0 + 2.0 * cbd * xb
         dx = -x * x * dg / d
         d_ratio = -2.0 * (cad * dx + ratio * cbd * (x + u * dx)) / level if level > 0.0 else 0.0

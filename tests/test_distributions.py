@@ -1,8 +1,11 @@
 import functools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fcrbid import (
     DegenerateSignalError,
@@ -170,6 +173,78 @@ def test_array_and_scalar_paths_agree():
     for d in (logistic(0.0816), logistic(0.3), logistic(1.0)):
         for zi in z.tolist():
             assert (d.scdf(np.float64(zi)), d.cdf(np.array(zi))) == (d.scdf(zi), d.cdf(zi))
+
+
+def reference_sigmoid(t):
+    if t >= 0.0:
+        return 1.0 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return e / (1.0 + e)
+
+
+def reference_cdf(dist, z):
+    """The CDF as it read before ``scdf_cdf``: the bit-identity reference."""
+    if dist.theta is not None:
+        return reference_sigmoid(dist.theta * float(z))
+    return dist._tables[1][bisect_right(dist._tables[0], float(z))]
+
+
+def reference_scdf(dist, z):
+    """The scdf as it read before ``scdf_cdf``: the bit-identity reference."""
+    z = float(z)
+    if dist.theta is not None:
+        th = dist.theta
+        if z > 0.0:
+            return z + math.log1p(math.exp(-th * z)) / th
+        return math.log1p(math.exp(th * z)) / th
+    locs, cum, cum_wx = dist._tables
+    k = bisect_right(locs, z)
+    return cum[k] * z - cum_wx[k]
+
+
+@st.composite
+def any_law(draw):
+    """One of the four laws with any mad the factories accept; an empirical
+    law from up to 20 samples."""
+    kind = draw(st.sampled_from([logistic, two_point_lower, three_point_upper, empirical]))
+    if kind is empirical:
+        samples = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20)
+                       .filter(lambda xs: any(xs)))
+        return empirical(samples)
+    mad = draw(st.floats(0.0, 1.0, exclude_min=True).filter(lambda m: 2.0 * LN2 / m < math.inf))
+    return kind(mad)
+
+
+def edge_points(law):
+    """+-0, +-1, +-inf, NaN, subnormals and the smallest normal, every atom
+    with its neighbouring floats, and for the logistic the points where
+    exp(-theta |z|) turns subnormal and underflows (|theta z| near 745)."""
+    tiny = 2.0 ** -1022
+    zs = [0.0, 1.0, math.inf, 5e-324, 1e-310, tiny, math.nextafter(tiny, 0.0)]
+    if law.theta is None:
+        zs += [w for a in law._tables[0]
+               for w in (a, math.nextafter(a, -math.inf), math.nextafter(a, math.inf))]
+    else:
+        zs += [t / law.theta for t in (700.0, 744.0, 745.0, 745.2, 746.0, 800.0, 1e4)]
+    return [*zs, *(-z for z in zs), math.nan]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(any_law(), st.lists(st.floats() | st.floats(-1.5, 1.5), max_size=20))
+@example(logistic(0.0816), [])
+@example(logistic(1.0), [])
+@example(two_point_lower(0.3), [])
+@example(three_point_upper(0.3), [])
+@example(empirical([0.02, -0.1, 0.05, 0.15]), [])
+def test_scdf_cdf_is_the_reference_bit_for_bit(law, zs):
+    """One evaluation of the law gives the scdf and CDF of the separate
+    formulas, to the bit (compared by float.hex, so -0.0 and NaN count), on
+    the edge points of every law and at random floats; ``scdf`` and ``cdf``
+    are its two parts."""
+    for z in (*edge_points(law), *zs):
+        want = (reference_scdf(law, z).hex(), reference_cdf(law, z).hex())
+        assert tuple(map(float.hex, law.scdf_cdf(z))) == want, (law.kind, z)
+        assert (law.scdf(z).hex(), law.cdf(z).hex()) == want, (law.kind, z)
 
 
 def reference_draws(dist, rng, size):

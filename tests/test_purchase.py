@@ -405,9 +405,10 @@ FOUR_LAWS = (logistic(0.0816), two_point_lower(0.0816),
              three_point_upper(0.0816), empirical([0.02, -0.1, 0.05, 0.15]))
 
 
-def count_law_calls(monkeypatch, names=("scdf", "cdf", "cdf_pair")):
-    """Record the argument of every call of the named law methods.  A
-    logistic ``cdf_pair`` counts its inner ``cdf`` too."""
+def count_law_calls(monkeypatch, names=("scdf_cdf", "cdf_pair")):
+    """Record the argument of every call of the named law methods.  ``scdf``
+    and ``cdf`` each make one ``scdf_cdf`` call, so every evaluation of the
+    law counts once; a logistic ``cdf_pair`` counts its inner one too."""
     calls = []
     for name in names:
         def counted(self, z, method=getattr(DeviationDistribution, name)):
@@ -419,7 +420,8 @@ def count_law_calls(monkeypatch, names=("scdf", "cdf", "cdf_pair")):
 
 
 def count_scdf_calls(monkeypatch):
-    return count_law_calls(monkeypatch, ("scdf",))
+    """Every evaluation of scdf and cdf."""
+    return count_law_calls(monkeypatch, ("scdf_cdf",))
 
 
 @pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
@@ -472,14 +474,14 @@ def test_inversion_work_is_bounded(law, monkeypatch):
 def test_piece_bid_is_settled_from_the_root(monkeypatch):
     """The largest deliverable bid of the README battery charging to 26 kWh
     under the three-point law is settled from the piece's Newton root alone:
-    at most 22 evaluations of scdf, cdf and cdf_pair together."""
+    at most 11 law evaluations."""
     calls = count_law_calls(monkeypatch)
     bat = BatterySpec(60.0, 18.0, 15.0, 20.0, 26.0, EfficiencyPair(0.9, 0.8))
     con = RegulationContract(horizon_h=12.0, budget_h=2.4)
     ctx = context_for(bat, con, three_point_upper(0.3))
     calls.clear()
     max_feasible_bid(bat, con, ctx)
-    assert len(calls) <= 22
+    assert len(calls) <= 11
 
 
 def test_purchase_at_large_bids_with_a_small_target():
