@@ -73,19 +73,22 @@ def _emit_json(report: dict, out: str | None) -> None:
     _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", out)
 
 
-def _emit_csv(fieldnames: list[str], rows: list[dict], out: str | None) -> None:
+def _emit_rows(report: dict, rows: list[dict], fmt: str, out: str | None) -> None:
+    """A table report: the JSON report with the rows under "rows", or the rows
+    alone as CSV.  Either format refuses NaN and infinities (exit 2)."""
+    if fmt == "json":
+        return _emit_json({**report, "rows": rows}, out)
+
+    def cell(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not CSV compliant: {value}")
+        return f"{value:.10g}" if isinstance(value, float) else value
+
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(v) for k, v in row.items()})
+    writer.writerows({k: cell(v) for k, v in row.items()} for row in rows)
     _emit(buf.getvalue(), out)
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return value
 
 
 def _count(floor: int, ceiling: float = math.inf):
@@ -199,19 +202,8 @@ def _cmd_bounds(args) -> int:
                 "feasible_ceiling_kw": ceiling,
             }
         )
-    if args.format == "csv":
-        _emit_csv(list(rows[0].keys()), rows, args.out)
-    else:
-        _emit_json(
-            {
-                "command": "bounds",
-                "slope": ctx.slope,
-                "slope_lower": lo_slope,
-                "slope_upper": hi_slope,
-                "rows": rows,
-            },
-            args.out,
-        )
+    _emit_rows({"command": "bounds", "slope": ctx.slope, "slope_lower": lo_slope,
+                "slope_upper": hi_slope}, rows, args.format, args.out)
     return 0
 
 
@@ -229,10 +221,7 @@ def _cmd_sweep_slope(args) -> int:
                 "slope_upper": hi,
             }
         )
-    if args.format == "json":
-        _emit_json({"command": "sweep-slope", "mad": args.mad, "rows": rows}, args.out)
-    else:
-        _emit_csv(["roundtrip", "slope", "slope_lower", "slope_upper"], rows, args.out)
+    _emit_rows({"command": "sweep-slope", "mad": args.mad}, rows, args.format, args.out)
     return 0
 
 
@@ -275,10 +264,7 @@ def _cmd_profit(args) -> int:
         energy_cost, power_cost = annualized_cost(inv)
         header["annualized_energy_cost_per_kwh_yr"] = energy_cost
         header["annualized_power_cost_per_kw_yr"] = power_cost
-    if args.format == "csv":
-        _emit_csv(list(rows[0].keys()), rows, args.out)
-    else:
-        _emit_json({**header, "rows": rows}, args.out)
+    _emit_rows(header, rows, args.format, args.out)
     return 0
 
 

@@ -4,8 +4,9 @@ The regulation signal is modelled as a stationary random deviation on
 [-1, 1], symmetric about zero.  Every family exposes the cumulative
 distribution function, its antiderivative anchored at -1 (the
 super-cumulative distribution function, ``scdf``) and seeded sampling.
-``scdf_cdf`` returns both functions at a float from one evaluation of the
-law, and ``cdf`` and ``scdf`` are its two parts; sampling returns arrays.
+``scdf_cdf`` returns the scdf and both one-sided CDF limits at a float from
+one evaluation of the law, and ``scdf``, ``cdf`` and ``cdf_pair`` are its
+parts; sampling returns arrays.
 The mean absolute deviation ``mad`` acts as the single shape parameter; all
 families satisfy mad = 2 * scdf(0).
 
@@ -30,7 +31,7 @@ empirical
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -75,33 +76,32 @@ class DeviationDistribution:
     def is_discrete(self) -> bool:
         return self.theta is None
 
-    def scdf_cdf(self, z: float) -> tuple[float, float]:
-        """``(scdf(z), cdf(z))`` from one evaluation of the law: one search of
-        a discrete law's atom tables, or one ``exp`` for the logistic."""
+    def scdf_cdf(self, z: float) -> tuple[float, float, float]:
+        """``(scdf(z), F(z-), F(z))`` from one evaluation of the law: one search
+        of a discrete law's atom tables (scdf +0.0 below the first atom, -inf
+        included; F(z-) = F(z) at NaN), or one ``exp`` for the logistic."""
         z = float(z)
         if self.theta is not None:
             th = self.theta
             if z > 0.0:
                 e = math.exp(-th * z)
-                return z + math.log1p(e) / th, 1.0 / (1.0 + e)
+                f = 1.0 / (1.0 + e)
+                return z + math.log1p(e) / th, f, f
             e = math.exp(th * z)
-            return math.log1p(e) / th, e / (1.0 + e)
+            f = e / (1.0 + e)
+            return math.log1p(e) / th, f, f
         locs, cum, cum_wx = self._tables
         k = bisect_right(locs, z)
-        return cum[k] * z - cum_wx[k], cum[k]
+        f = cum[k]
+        return (f * z - cum_wx[k] if k else 0.0), cum[k - 1] if locs[k - 1] == z else f, f
 
     def cdf(self, z: float) -> float:
         """Right-continuous CDF."""
-        return self.scdf_cdf(z)[1]
+        return self.scdf_cdf(z)[2]
 
     def cdf_pair(self, z: float) -> tuple[float, float]:
         """Left and right limits of the CDF at ``z`` (equal when continuous)."""
-        if self.theta is not None:
-            v = self.cdf(z)
-            return v, v
-        z = float(z)
-        locs, cum, _ = self._tables
-        return cum[bisect_left(locs, z)], cum[bisect_right(locs, z)]
+        return self.scdf_cdf(z)[1:]
 
     def scdf(self, z: float) -> float:
         """Antiderivative of the CDF with scdf(-1) = 0.

@@ -156,7 +156,7 @@ def _piece_bid(k: float, c: float, ctx: PurchaseContext) -> float:
     eta_p, drain = ctx.eff.eta_plus, ctx.eff.drain
     u = d * k / (d - c * (eta_p if d > 0.0 else 1.0 / ctx.eff.eta_minus))
     for _ in range(BISECT_MAX_ITER):
-        phi, f = dist.scdf_cdf(-u)
+        phi, _, f = dist.scdf_cdf(-u)
         g = eta_p * u - drain * phi
         slope = d - c * (eta_p + drain * f)
         if not slope * k > 0.0:

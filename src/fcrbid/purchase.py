@@ -19,16 +19,19 @@ This module evaluates that coupling, one float bid at a time:
 The rate is 1-homogeneous in (purchase, bid): rate(xb, xr) = xr * g(xb / xr)
 with g(u) = eta_plus * u - drain * scdf(-u), strictly increasing in u.  At a
 given bid the purchase and its slopes come from one scalar Newton inverse of
-g, each step taking scdf(-u) and F(-u) from one evaluation of the law.  The
-stationary bid's search goes the other way: at a purchase per unit of bid u
-the bid drift_target / g(u), the purchase bid * u and the slopes are
-explicit, and under a discrete law g is affine between atoms.
+g, each step taking scdf(-u) and both limits of F(-u) from one evaluation of
+the law, and the slopes reuse the last step's; a bid too small to divide by
+gets the zero-bid answers, exact beyond the support.  The stationary bid's
+search goes the other way: at a purchase per unit of bid u the bid
+drift_target / g(u), the purchase bid * u and the slopes are explicit, and
+under a discrete law g is affine between atoms.
 
 Powers are in kW, energies in kWh; deviations are normalised to [-1, 1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -94,8 +97,8 @@ def expected_charge_rate(xb, xr, eff: EfficiencyPair, dist: DeviationDistributio
     Returns
     -------
     float
-        eta_plus * xb - drain * xr * scdf(-xb / xr); at ``xr = 0`` the
-        continuous limit eta_plus * [xb]+ - [xb]- / eta_minus.
+        eta_plus * xb - drain * xr * scdf(-xb / xr); at ``xr = 0`` (or where
+        xb / xr overflows) the limit eta_plus * [xb]+ - [xb]- / eta_minus.
 
     Notes
     -----
@@ -104,13 +107,14 @@ def expected_charge_rate(xb, xr, eff: EfficiencyPair, dist: DeviationDistributio
     xb, xr = float(xb), float(xr)
     if xr < 0.0:
         raise ValueError("bid must be nonnegative")
-    if xr == 0.0:
+    if xr == 0.0 or math.isinf(u := xb / xr):
         return eff.eta_plus * xb - eff.drain * max(-xb, 0.0)
-    return eff.eta_plus * xb - eff.drain * xr * dist.scdf(-xb / xr)
+    return eff.eta_plus * xb - eff.drain * xr * dist.scdf(-u)
 
 
-def _inverse_unit_rate(v: float, eff: EfficiencyPair, dist: DeviationDistribution) -> float:
-    """Purchase per unit of bid, u, solving g(u) = v.
+def _inverse_unit_rate(v: float, eff: EfficiencyPair, dist: DeviationDistribution) -> tuple:
+    """Purchase per unit of bid, u, solving g(u) = v, and the law values
+    ``scdf_cdf(-u)`` of the last Newton step, taken at that u.
 
     g(u) = eta_plus * u - drain * scdf(-u) is increasing and concave, with
     g'(u) = eta_plus + drain * F(-u), both from one ``scdf_cdf`` call per
@@ -123,13 +127,14 @@ def _inverse_unit_rate(v: float, eff: EfficiencyPair, dist: DeviationDistributio
     """
     eta_p, drain = eff.eta_plus, eff.drain
     u = max(v / eta_p, eff.eta_minus * v)
+    phi, f_left, f = dist.scdf_cdf(-u)
     for _ in range(BISECT_MAX_ITER):
-        phi, f = dist.scdf_cdf(-u)
         new = u - (eta_p * u - drain * phi - v) / (eta_p + drain * f)
         if not new > u:
             break
         u = new
-    return u
+        phi, f_left, f = dist.scdf_cdf(-u)
+    return u, phi, f_left, f
 
 
 def asymptotic_slope(eff: EfficiencyPair, dist: DeviationDistribution) -> float:
@@ -139,15 +144,11 @@ def asymptotic_slope(eff: EfficiencyPair, dist: DeviationDistribution) -> float:
     the scdf symmetry identity this is the root of g(s) = 0, the purchase
     per unit of bid that holds a balanced target.
     """
-    a = eff.roundtrip
-    if a >= 1.0:
-        return 0.0
-    loss = 1.0 - a
-    if 1.0 - loss * dist.scdf(1.0) <= 0.0:
+    if 1.0 - (1.0 - eff.roundtrip) * dist.scdf(1.0) <= 0.0:
         raise AssumptionError(
             "deviation law too heavy for the efficiency: no slope below one"
         )
-    return _inverse_unit_rate(0.0, eff, dist)
+    return _inverse_unit_rate(0.0, eff, dist)[0]
 
 
 def slope_bounds(eff: EfficiencyPair, mad: float) -> tuple[float, float]:
@@ -191,7 +192,8 @@ def purchase_power(xr: float, ctx: PurchaseContext) -> float:
 
     Nondecreasing and convex in ``xr``.  For a balanced target the curve is
     exactly ``slope * xr``; otherwise it is xr * u with u the Newton inverse
-    of the per-unit-bid rate g at drift_target / xr.
+    of the per-unit-bid rate g at drift_target / xr, or the zero-bid
+    purchase where u overflows.
     """
     xr = float(xr)
     if xr < 0.0:
@@ -200,7 +202,8 @@ def purchase_power(xr: float, ctx: PurchaseContext) -> float:
         return ctx.base_purchase
     if ctx.drift_target == 0.0 or xr > XR_ASYMPTOTE:
         return ctx.slope * xr
-    return xr * _inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist)
+    u = _inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist)[0]
+    return ctx.base_purchase if math.isinf(u) else xr * u
 
 
 def purchase_power_many(xr, ctx: PurchaseContext) -> np.ndarray:
@@ -217,14 +220,15 @@ def purchase_slopes(xr: float, ctx: PurchaseContext) -> tuple[float, float]:
     is convex.  A balanced target's purchase slope * xr gives (slope, slope)
     at every bid.  Otherwise both come from the one-sided CDF limits at the
     active deviation ratio and differ at a kink (discrete deviation law); at
-    ``xr = 0`` both report the right derivative, zero.
+    ``xr = 0``, and at a bid too small to divide by, both report the right
+    derivative, zero.
     """
     return _purchase_point(xr, ctx)[1:]
 
 
 def _purchase_point(xr: float, ctx: PurchaseContext) -> tuple[float, float, float]:
     """Purchase and slopes (left, right) at bid ``xr``: :func:`purchase_power`
-    and :func:`purchase_slopes` from one inverse of g."""
+    and :func:`purchase_slopes` from one inverse of g and its last law values."""
     xr = float(xr)
     if xr < 0.0:
         raise ValueError("bid must be nonnegative")
@@ -232,9 +236,9 @@ def _purchase_point(xr: float, ctx: PurchaseContext) -> tuple[float, float, floa
         return ctx.slope * xr, ctx.slope, ctx.slope
     if xr == 0.0:
         return ctx.base_purchase, 0.0, 0.0
-    u = _inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist)
-    phi = ctx.dist.scdf(-u)
-    f_left, f_right = ctx.dist.cdf_pair(-u)
+    u, phi, f_left, f_right = _inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist)
+    if math.isinf(u):
+        return ctx.base_purchase, 0.0, 0.0
     eta_p, drain = ctx.eff.eta_plus, ctx.eff.drain
     s1 = drain * (phi + u * f_left) / (eta_p + drain * f_left)
     s2 = drain * (phi + u * f_right) / (eta_p + drain * f_right)
@@ -244,7 +248,7 @@ def _purchase_point(xr: float, ctx: PurchaseContext) -> tuple[float, float, floa
 def _unit_bid(u: float, ctx: PurchaseContext) -> tuple[float, float, float, float]:
     """Bid, purchase, scdf(-u) and cdf(-u) at purchase per unit of bid ``u``
     (unbalanced target), from one evaluation of the law."""
-    phi, f = ctx.dist.scdf_cdf(-u)
+    phi, _, f = ctx.dist.scdf_cdf(-u)
     rate = ctx.eff.eta_plus * u - ctx.eff.drain * phi
     # g vanishes only at the balanced root, where no bid is defined.
     xr = ctx.drift_target / rate if rate != 0.0 else float("inf")

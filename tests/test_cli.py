@@ -207,6 +207,45 @@ def test_bounds_csv_with_explicit_grid(config, capsys):
     }
 
 
+def doc_26kwh_two_point():
+    """The README battery charging to 26 kWh under the two-point law."""
+    doc = base_doc()
+    doc["battery"]["soc_target_kwh"] = 26.0
+    doc["distribution"] = {"kind": "two_point_lower", "mad": 0.3}
+    return doc
+
+
+@pytest.mark.parametrize("argv", [("--max-xr", "5e-324", "--grid", "3"),
+                                  ("--max-xr", "1e-309", "--grid", "3", "--format", "csv")])
+def test_bounds_at_bids_too_small_to_divide_by(config, capsys, argv):
+    """Where drift target / bid overflows the purchase is the zero-bid one,
+    so the report is finite and the command exits 0."""
+    code, out, err = run(capsys, "bounds", "--config", config(doc_26kwh_two_point()), *argv)
+    assert (code, err) == (0, "")
+    assert not any(word in out for word in ("inf", "nan", "Infinity", "NaN"))
+    rows = (json.loads(out)["rows"] if "csv" not in argv
+            else list(csv.DictReader(io.StringIO(out))))
+    assert {float(row["purchase_kw"]) for row in rows} == {float(rows[0]["purchase_kw"])}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["bounds", "profit", "sweep-slope"])
+def test_table_report_with_a_non_finite_value_exits_2(config, capsys, monkeypatch,
+                                                      command, fmt):
+    """Neither format writes NaN or Infinity: a table that meets one exits 2
+    with nothing on stdout."""
+    argv = {"bounds": ["bounds", "--config", config(), "--grid", "3"],
+            "profit": ["profit", "--config", config()],
+            "sweep-slope": ["sweep-slope", "--eta-grid", "0.8:0.9:0.1", "--mad", "0.2"]}
+    monkeypatch.setattr(fcrbid.cli, {"bounds": "purchase_power", "profit": "operating_profit",
+                              "sweep-slope": "asymptotic_slope"}[command],
+                        lambda *args, **kwargs: math.nan)
+    code, out, err = run(capsys, *argv[command], "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Out of range float values are not ")
+    assert "nan" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep-slope
 
@@ -565,6 +604,15 @@ def test_simulate_energy_beyond_float_range_exits_2(config, capsys):
     assert "--xr" in err and "--xb" in err
     assert "Traceback" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_simulate_at_a_bid_too_small_to_divide_by(config, capsys):
+    """A bid whose drift target / bid overflows simulates with the zero-bid
+    purchase, not an infinite one."""
+    code, out, err = run(capsys, "simulate", "--config", config(doc_26kwh_two_point()),
+                         "--xr", "5e-324", "--n-steps", "10")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["xb_kw"] == (26.0 - 20.0) / 12.0 / 0.9
 
 
 def test_simulate_capped_budget_never_exceeds_contract(config, capsys):

@@ -1,6 +1,6 @@
 import functools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -154,6 +154,14 @@ def test_scdf_outside_support():
     assert 1.0 < d.scdf(1.0) < 1.0 + 1e-8
 
 
+def test_scdf_at_the_infinities():
+    """scdf is max(0, z) outside the support, at the infinities too: 0 at
+    -inf (a discrete law's 0.0 * -inf was NaN) and +inf at +inf."""
+    for d in (logistic(0.3), two_point_lower(0.3), three_point_upper(0.3),
+              empirical([0.2, -0.6, 0.35])):
+        assert (d.scdf(-math.inf), d.scdf(math.inf)) == (0.0, math.inf), d.kind
+
+
 def test_array_and_scalar_paths_agree():
     """Every law returns floats, and a NumPy scalar or a 0-d array gives the
     same float: for the discrete laws at every atom, at +-0.0 and at other
@@ -202,6 +210,17 @@ def reference_scdf(dist, z):
     return cum[k] * z - cum_wx[k]
 
 
+def reference_cdf_pair(dist, z):
+    """The CDF's one-sided limits as they read before ``scdf_cdf`` gave them:
+    the bit-identity reference."""
+    if dist.theta is not None:
+        v = reference_cdf(dist, z)
+        return v, v
+    z = float(z)
+    locs, cum, _ = dist._tables
+    return cum[bisect_left(locs, z)], cum[bisect_right(locs, z)]
+
+
 @st.composite
 def any_law(draw):
     """One of the four laws with any mad the factories accept; an empirical
@@ -237,14 +256,27 @@ def edge_points(law):
 @example(three_point_upper(0.3), [])
 @example(empirical([0.02, -0.1, 0.05, 0.15]), [])
 def test_scdf_cdf_is_the_reference_bit_for_bit(law, zs):
-    """One evaluation of the law gives the scdf and CDF of the separate
-    formulas, to the bit (compared by float.hex, so -0.0 and NaN count), on
-    the edge points of every law and at random floats; ``scdf`` and ``cdf``
-    are its two parts."""
+    """One evaluation of the law gives the scdf and both CDF limits of the
+    separate formulas, to the bit (compared by float.hex, so -0.0 and NaN
+    count), on the edge points of every law and at random floats; ``scdf``,
+    ``cdf`` and ``cdf_pair`` are its parts.
+
+    Two exceptions, both on purpose.  Below a discrete law's first atom the
+    scdf is +0.0, where the reference's 0.0 * z - 0.0 gives -0.0, and NaN at
+    -inf.  At NaN a discrete law's left limit equals its right one, the total
+    mass, where the reference's ``bisect_left`` gave 0.0; the logistic gives
+    NaN in both."""
     for z in (*edge_points(law), *zs):
-        want = (reference_scdf(law, z).hex(), reference_cdf(law, z).hex())
-        assert tuple(map(float.hex, law.scdf_cdf(z))) == want, (law.kind, z)
-        assert (law.scdf(z).hex(), law.cdf(z).hex()) == want, (law.kind, z)
+        scdf, left, right = (v.hex() for v in law.scdf_cdf(z))
+        assert (law.scdf(z).hex(), law.cdf_pair(z)[0].hex(), law.cdf(z).hex()) \
+            == (scdf, left, right), (law.kind, z)
+        assert right == reference_cdf(law, z).hex(), (law.kind, z)
+        below = law.is_discrete and z < law._tables[0][0]
+        assert scdf == (0.0 if below else reference_scdf(law, z)).hex(), (law.kind, z)
+        if law.is_discrete and math.isnan(z):
+            assert (scdf, left) == ("nan", right), law.kind
+        else:
+            assert left == reference_cdf_pair(law, z)[0].hex(), (law.kind, z)
 
 
 def reference_draws(dist, rng, size):

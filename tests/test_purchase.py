@@ -27,7 +27,7 @@ from fcrbid import (
     two_point_lower,
 )
 from fcrbid.distributions import DeviationDistribution
-from fcrbid.purchase import _purchase_point
+from fcrbid.purchase import _inverse_unit_rate, _purchase_point
 
 import oracles
 
@@ -124,7 +124,11 @@ def test_asymptotic_slope_depends_on_product_only():
 
 
 def test_asymptotic_slope_perfect_efficiency_is_zero():
-    assert asymptotic_slope(EfficiencyPair(1.0, 1.0), logistic(0.3)) == 0.0
+    """A lossless device needs no purchase per unit of bid: the inversion
+    gives +0.0 under every law."""
+    for law in (logistic(0.3),) + FOUR_LAWS:
+        slope = asymptotic_slope(EfficiencyPair(1.0, 1.0), law)
+        assert (slope, math.copysign(1.0, slope)) == (0.0, 1.0), law.kind
 
 
 def test_asymptotic_slope_heavy_tail_raises():
@@ -405,23 +409,19 @@ FOUR_LAWS = (logistic(0.0816), two_point_lower(0.0816),
              three_point_upper(0.0816), empirical([0.02, -0.1, 0.05, 0.15]))
 
 
-def count_law_calls(monkeypatch, names=("scdf_cdf", "cdf_pair")):
-    """Record the argument of every call of the named law methods.  ``scdf``
-    and ``cdf`` each make one ``scdf_cdf`` call, so every evaluation of the
-    law counts once; a logistic ``cdf_pair`` counts its inner one too."""
+def count_law_calls(monkeypatch):
+    """Record the argument of every ``scdf_cdf`` call.  ``scdf``, ``cdf`` and
+    ``cdf_pair`` are views of it, so every evaluation of the law counts
+    once."""
     calls = []
-    for name in names:
-        def counted(self, z, method=getattr(DeviationDistribution, name)):
-            calls.append(z)
-            return method(self, z)
+    scdf_cdf = DeviationDistribution.scdf_cdf
 
-        monkeypatch.setattr(DeviationDistribution, name, counted)
+    def counted(self, z):
+        calls.append(z)
+        return scdf_cdf(self, z)
+
+    monkeypatch.setattr(DeviationDistribution, "scdf_cdf", counted)
     return calls
-
-
-def count_scdf_calls(monkeypatch):
-    """Every evaluation of scdf and cdf."""
-    return count_law_calls(monkeypatch, ("scdf_cdf",))
 
 
 @pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
@@ -433,7 +433,7 @@ def test_inversion_work_is_bounded(law, monkeypatch):
     discrete law (its piece comes from the atom tables) and 90 under the
     logistic (a bisection in u took 82-122), and a balanced solve makes no
     law evaluation beyond the slope's."""
-    calls = count_scdf_calls(monkeypatch)
+    calls = count_law_calls(monkeypatch)
     eff = EfficiencyPair(0.9, 0.8)
     asymptotic_slope(eff, law)
     assert 0 < len(calls) <= 10
@@ -470,6 +470,24 @@ def test_inversion_work_is_bounded(law, monkeypatch):
         assert len(calls) == slope_calls
 
 
+@pytest.mark.parametrize("law", FOUR_LAWS, ids=lambda d: d.kind)
+def test_purchase_point_evaluates_the_law_only_in_the_inverse(law, monkeypatch):
+    """The purchase and both slopes at a bid come from the law values of the
+    inverse's last Newton step, taken at the returned u: ``_purchase_point``
+    makes exactly the law evaluations of ``_inverse_unit_rate`` alone."""
+    calls = count_law_calls(monkeypatch)
+    for target in (0.25, -0.15):
+        ctx = ctx_for(0.9, 0.8, law, target)
+        for xr in (0.05, 0.7, 4.0, 60.0):
+            calls.clear()
+            u, *values = _inverse_unit_rate(target / xr, ctx.eff, law)
+            inverse = len(calls)
+            assert values == list(law.scdf_cdf(-u)), (target, xr)
+            calls.clear()
+            _purchase_point(xr, ctx)
+            assert len(calls) == inverse > 0, (target, xr)
+
+
 @pytest.mark.filterwarnings("ignore:mean absolute deviation exceeds")
 def test_piece_bid_is_settled_from_the_root(monkeypatch):
     """The largest deliverable bid of the README battery charging to 26 kWh
@@ -497,6 +515,31 @@ def test_purchase_at_large_bids_with_a_small_target():
                 rate = expected_charge_rate(xb, xr, ctx.eff, ctx.dist)
                 assert abs(rate - target) <= 1e-14 * xr
                 assert base - 1e-14 * xr <= xb <= base + (ctx.slope + 1e-14) * xr
+
+
+def test_bids_too_small_to_divide_by_get_the_zero_bid_answers():
+    """Where drift target / bid overflows, or the Newton start drift target /
+    (eta_plus bid) does (at 1.45e-309 for a 0.25 kW target), the purchase, its
+    slopes and the rate are the zero-bid ones, exact beyond the support, not
+    infinities or NaN; just above the overflow the inverse agrees with them."""
+    eff = EfficiencyPair(0.9, 0.8)
+    for law in (logistic(0.3),) + FOUR_LAWS:
+        for target in (0.25, -0.25):
+            ctx = PurchaseContext(eff, law, target)
+            base = ctx.base_purchase
+            overflows = (5e-324, 1e-309, 1.45e-309) if target > 0.0 else (5e-324, 1e-309)
+            for xr in (5e-324, 1e-309, 1.45e-309, 1e-300):
+                xb, left, right = _purchase_point(xr, ctx)
+                assert (left, right) == purchase_slopes(xr, ctx) == (0.0, 0.0), (law.kind, xr)
+                assert xb == purchase_power(xr, ctx), (law.kind, xr)
+                if xr in overflows:
+                    assert xb == base, (law.kind, target, xr)
+                else:
+                    assert math.isclose(xb, base, rel_tol=1e-15), (law.kind, target, xr)
+        for xb in (-0.12, 0.12):
+            assert expected_charge_rate(xb, 5e-324, eff, law) \
+                == expected_charge_rate(xb, 0.0, eff, law), law.kind
+        assert expected_charge_rate(1e300, 1e-300, eff, law) == 0.9 * 1e300, law.kind
 
 
 def test_context_slope_matches_free_function():

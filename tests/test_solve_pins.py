@@ -25,6 +25,7 @@ from fcrbid import (
     three_point_upper,
     two_point_lower,
 )
+from test_purchase import count_law_calls
 
 
 def seeded_samples(seed: int, n: int) -> list[float]:
@@ -165,6 +166,17 @@ def test_solve_outputs_are_pinned(key):
 
 def test_every_problem_is_pinned():
     assert set(PINNED) == {(law, t, p) for law in LAWS for t in TARGETS for p in PRICES}
+
+
+@pytest.mark.filterwarnings("ignore:mean absolute deviation exceeds")
+def test_pinned_problems_do_not_make_more_law_evaluations(monkeypatch):
+    """The 48 pinned solves make at most 992 law evaluations (``scdf_cdf``
+    calls), the count once the purchase point took its slopes from the
+    inverse's last Newton step; a second evaluation per point breaks it."""
+    calls = count_law_calls(monkeypatch)
+    for key in PINNED:
+        pinned_row(*key)
+    assert len(calls) <= 992
 
 
 if __name__ == "__main__":

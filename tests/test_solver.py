@@ -35,7 +35,7 @@ import fcrbid.solver as solver_module
 from fcrbid.solver import _solve_with_ratio
 
 import oracles
-from test_purchase import FOUR_LAWS, count_scdf_calls
+from test_purchase import FOUR_LAWS, count_law_calls
 
 
 def big_balanced_battery(eff, cap=1_000_000.0):
@@ -177,7 +177,7 @@ def test_full_charge_or_discharge_bids_zero(law, target, monkeypatch):
     is deliverable at zero bid only, though the zero-bid purchase equals an
     energy edge of the band only up to rounding.  The solve sees that the
     band closes at zero bid: it makes few law evaluations beyond the slope's."""
-    calls = count_scdf_calls(monkeypatch)
+    calls = count_law_calls(monkeypatch)
     eff = EfficiencyPair(0.9, 0.8)
     asymptotic_slope(eff, law)
     slope_calls = len(calls)
@@ -215,7 +215,7 @@ def test_elastic_with_zero_elasticities_matches_inelastic_bitwise(monkeypatch):
     same solution to the bit with the same law evaluations, over every law,
     a balanced target and targets above and below it, and price ratios that
     pick each candidate.  The first case is the original instance."""
-    calls = count_scdf_calls(monkeypatch)
+    calls = count_law_calls(monkeypatch)
     eff = EfficiencyPair(0.9, 0.8)
     con = RegulationContract(24.0, 7.2)
     cases = [(BatterySpec(500.0, 50.0, 50.0, 200.0, 206.0, eff), logistic(0.3), 0.05)]
