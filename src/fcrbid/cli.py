@@ -1,9 +1,9 @@
 """Command-line front-end.
 
-Every subcommand reads a JSON problem config (except the data-fitting and
-slope-sweep ones, which work from raw files or flags), runs the library,
-and emits a JSON or CSV report to --out or stdout.  Exit codes: 0 success,
-1 failed verification, 2 invalid input, 3 infeasible problem.
+Every subcommand reads a JSON problem config (`fit` reads data files
+through the ingest readers instead, and `sweep-slope` works from flags),
+runs the library, and emits a JSON or CSV report to --out or stdout.
+Exit codes: 0 success, 1 failed verification, 2 invalid input, 3 infeasible problem.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .ingest import (
     fit_elasticity,
     fit_logistic,
     normalize_frequency,
+    read_elasticity_csv,
     read_frequency_csv,
     read_price_csv,
     reduce_prices,
@@ -91,37 +92,23 @@ def _emit_rows(report: dict, rows: list[dict], fmt: str, out: str | None) -> Non
     _emit(buf.getvalue(), out)
 
 
-def _count(floor: int, ceiling: float = math.inf):
-    """argparse type for an integer flag in [``floor``, ``ceiling``]."""
-    def count(text: str) -> int:
-        value = int(text)
+def _bounded(kind=float, floor=-math.inf, ceiling=math.inf):
+    """argparse type for a finite ``kind`` flag in [``floor``, ``ceiling``]."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not -math.inf < value < math.inf:
+            noun = "an integer" if kind is int else "a finite number"
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+        # .12g prints 1000000 whole and 1e12 as 1e+12.
         if value < floor:
-            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at least {floor:.12g}, got {value}")
         if value > ceiling:
-            raise argparse.ArgumentTypeError(f"must be at most {ceiling}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at most {ceiling:.12g}, got {value}")
         return value
-    return count
-
-
-def _finite(text: str) -> float:
-    """argparse type for a float flag, which must be finite."""
-    try:
-        if math.isfinite(value := float(text)):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-
-
-def _real(floor: float, ceiling: float = math.inf):
-    """argparse type for a finite float flag in [``floor``, ``ceiling``]."""
-    def real(text: str) -> float:
-        if (value := _finite(text)) < floor:
-            raise argparse.ArgumentTypeError(f"must be at least {floor:g}, got {value}")
-        if value > ceiling:
-            raise argparse.ArgumentTypeError(f"must be at most {ceiling:g}, got {value}")
-        return value
-    return real
+    return parse
 
 
 def _linspace(stop: float, num: int) -> list[float]:
@@ -269,60 +256,26 @@ def _cmd_profit(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    report = {
-        "mad": None, "theta": None, "cb": None, "cr": None,
-        "cb0": None, "cbd": None, "ca0": None, "cad": None,
-    }
+    report = dict.fromkeys(["mad", "theta", "cb", "cr", "cb0", "cbd", "ca0", "cad"])
     if args.frequency:
         fs = read_frequency_csv(args.frequency, nu0=args.nu0, delta_nu=args.delta_nu)
-        deviations = normalize_frequency(fs)
-        samples_per_day = (
-            round(24.0 / fs.dt_h) if args.mad_cap is not None else None
-        )
-        dist = fit_logistic(
-            deviations, mad_cap=args.mad_cap, samples_per_day=samples_per_day
-        )
-        report["mad"] = dist.mad
-        report["theta"] = dist.theta
+        samples_per_day = round(24.0 / fs.dt_h) if args.mad_cap is not None else None
+        dist = fit_logistic(normalize_frequency(fs), mad_cap=args.mad_cap,
+                            samples_per_day=samples_per_day)
+        report["mad"], report["theta"] = dist.mad, dist.theta
     if args.prices:
-        cb, cr = reduce_prices(read_price_csv(args.prices))
-        report["cb"] = cb
-        report["cr"] = cr
+        report["cb"], report["cr"] = reduce_prices(read_price_csv(args.prices))
     if args.elastic_energy:
-        c0, cd = _fit_elastic_csv(args.elastic_energy)
-        report["cb0"] = c0
-        report["cbd"] = cd
+        report["cb0"], report["cbd"] = fit_elasticity(*read_elasticity_csv(args.elastic_energy))
     if args.elastic_regulation:
-        c0, cd = _fit_elastic_csv(args.elastic_regulation)
+        c0, cd = fit_elasticity(*read_elasticity_csv(args.elastic_regulation))
         # The availability-price model is decreasing in volume; flip the
         # regression slope into the model's nonnegative coefficient.
-        report["ca0"] = c0
-        report["cad"] = -cd
+        report["ca0"], report["cad"] = c0, -cd
     if all(v is None for v in report.values()):
         raise ConfigError("fit: nothing to do; pass at least one input file")
     _emit_json({"command": "fit", **report}, args.out)
     return 0
-
-
-def _fit_elastic_csv(path: str) -> tuple[float, float]:
-    volumes, prices = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["volume_kw", "price_cts"]:
-            raise ConfigError(f"{path}: expected header 'volume_kw,price_cts'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                volume, price = float(row[0]), float(row[1])
-            except (IndexError, ValueError):
-                volume = price = math.nan
-            if not math.isfinite(volume) or not math.isfinite(price):
-                raise ConfigError(f"{path}: line {lineno}: bad row")
-            volumes.append(volume)
-            prices.append(price)
-    return fit_elasticity(prices, volumes)
 
 
 def _cmd_simulate(args) -> int:
@@ -434,27 +387,29 @@ def build_parser() -> argparse.ArgumentParser:
     add("analytic", _cmd_analytic, "closed forms for a balanced target")
 
     p = add("bounds", _cmd_bounds, "purchase curve with envelopes over a bid grid")
-    p.add_argument("--grid", type=_count(1, MAX_POINTS), default=101, help="number of grid points")
-    p.add_argument("--max-xr", type=_real(0.0), default=None, help="grid upper end in kW")
+    p.add_argument("--grid", type=_bounded(int, 1, MAX_POINTS), default=101,
+                   help="number of grid points")
+    p.add_argument("--max-xr", type=_bounded(float, 0.0), default=None,
+                   help="grid upper end in kW")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("sweep-slope", _cmd_sweep_slope,
             "asymptotic slope and its bounds over a roundtrip grid", config=False)
     p.add_argument("--eta-grid", required=True, help="roundtrip grid start:stop:step")
-    p.add_argument("--mad", type=_finite, required=True, help="mean absolute deviation")
+    p.add_argument("--mad", type=_bounded(), required=True, help="mean absolute deviation")
     p.add_argument("--format", choices=["json", "csv"], default="csv")
 
     p = add("profit", _cmd_profit, "per-unit, operating and yearly profit tables")
-    p.add_argument("--horizons", type=lambda text: [_finite(tok) for tok in text.split(",")],
+    p.add_argument("--horizons", type=lambda text: list(map(_bounded(), text.split(","))),
                    help="comma-separated horizon lengths in hours")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("fit", _cmd_fit, "estimate model parameters from data files", config=False)
     p.add_argument("--frequency", help="frequency CSV (timestamp,hz)")
-    p.add_argument("--nu0", type=_finite, default=50.0, help="nominal frequency in Hz")
-    p.add_argument("--delta-nu", type=_finite, default=0.2,
+    p.add_argument("--nu0", type=_bounded(), default=50.0, help="nominal frequency in Hz")
+    p.add_argument("--delta-nu", type=_bounded(), default=0.2,
                    help="saturation deviation in Hz")
-    p.add_argument("--mad-cap", type=_finite, default=None,
+    p.add_argument("--mad-cap", type=_bounded(), default=None,
                    help="cap per-day dispersion at this value before fitting")
     p.add_argument("--prices", help="price CSV")
     p.add_argument("--elastic-energy", help="volume_kw,price_cts CSV for the energy market")
@@ -463,21 +418,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", _cmd_simulate, "sample one trajectory and integrate the SoC")
     # Capped so that the SoC integration cannot overflow.
-    p.add_argument("--xr", type=_real(0.0, XR_ASYMPTOTE), default=None,
+    p.add_argument("--xr", type=_bounded(float, 0.0, XR_ASYMPTOTE), default=None,
                    help="bid in kW (default: max feasible)")
-    p.add_argument("--xb", type=_real(-XR_ASYMPTOTE, XR_ASYMPTOTE), default=None,
+    p.add_argument("--xb", type=_bounded(float, -XR_ASYMPTOTE, XR_ASYMPTOTE), default=None,
                    help="purchase in kW (default: implied by the bid)")
-    p.add_argument("--n-steps", type=_count(1, MAX_POINTS), default=None)
-    p.add_argument("--seed", type=_count(0), default=None)
+    p.add_argument("--n-steps", type=_bounded(int, 1, MAX_POINTS), default=None)
+    p.add_argument("--seed", type=_bounded(int, 0), default=None)
     p.add_argument("--no-cap", action="store_true", help="skip budget capping")
     p.add_argument("--trajectory-out", help="also write the trajectory CSV here")
 
     p = add("verify", _cmd_verify, "check the closed forms against simulation")
-    p.add_argument("--paths", type=_count(100), default=None,
+    p.add_argument("--paths", type=_bounded(int, 100), default=None,
                    help="Monte-Carlo paths (default: the config's solver.n_paths)")
-    p.add_argument("--seed", type=_count(0), default=None)
-    p.add_argument("--n-steps", type=_count(1, MAX_POINTS), default=48)
-    p.add_argument("--n-random", type=_count(0), default=1000)
+    p.add_argument("--seed", type=_bounded(int, 0), default=None)
+    p.add_argument("--n-steps", type=_bounded(int, 1, MAX_POINTS), default=48)
+    p.add_argument("--n-random", type=_bounded(int, 0), default=1000)
 
     return parser
 

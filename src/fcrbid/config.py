@@ -18,6 +18,7 @@ from .distributions import MAD_LAWS, DeviationDistribution, build_distribution
 from .econ import InvestmentSpec
 from .errors import ConfigError
 from .feasible import BatterySpec, RegulationContract
+from .ingest import _columns, _rows
 from .purchase import EfficiencyPair
 from .solver import MarketPrices
 
@@ -86,21 +87,23 @@ def _int(sec: dict, key: str, path: str, floor: int, default=_MISSING, ceiling=m
 
 
 @contextmanager
-def _section(name: str):
-    """Prefix a value error from a constructor with the section name.
-
-    A ConfigError already names its field path and passes through as is.
-    """
+def _section(name: str, sec=(), keys=None):
+    """Prefix a value error from a constructor with its field path: ``name.key``
+    when the message opens with the argument for the key ``key`` of ``sec``
+    (``keys`` maps the arguments named otherwise), else ``name``.  A
+    ConfigError already names its field path and passes through as is."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        arg, _, rest = str(exc).partition(" ")
+        key = (keys or {}).get(arg, arg)
+        raise ConfigError(f"{name}.{key}: {rest}" if key in sec else f"{name}: {exc}") from exc
 
 
 def _battery(sec: dict) -> BatterySpec:
-    with _section("battery"):
+    with _section("battery", sec):
         eff = EfficiencyPair(
             _num(sec, "eta_plus", "battery"), _num(sec, "eta_minus", "battery")
         )
@@ -115,68 +118,66 @@ def _battery(sec: dict) -> BatterySpec:
 
 
 def _contract(sec: dict) -> RegulationContract:
-    with _section("contract"):
+    with _section("contract", sec):
         return RegulationContract(
             horizon_h=_num(sec, "horizon_h", "contract"),
             budget_h=_num(sec, "budget_h", "contract"),
         )
 
 
+# The config key of each MarketPrices argument, by price mode.
+_PRICE_KEYS = {
+    "inelastic": {"cb": "cb_cts_per_kwh", "cr": "cr_cts_per_kw_h"},
+    "elastic": {"cb0": "cb0_cts_per_kwh", "cbd": "cbd_cts_per_kwh_per_kw",
+                "ca0": "ca0_cts_per_kw_h", "cad": "cad_cts_per_kw_h_per_kw"},
+}
+
+
 def _prices(sec: dict) -> MarketPrices:
     mode = sec.get("mode", "inelastic")
-    with _section("prices"):
-        if mode == "inelastic":
-            return MarketPrices(
-                mode="inelastic",
-                cb=_num(sec, "cb_cts_per_kwh", "prices"),
-                cr=_num(sec, "cr_cts_per_kw_h", "prices"),
-            )
-        if mode == "elastic":
-            return MarketPrices(
-                mode="elastic",
-                cb0=_num(sec, "cb0_cts_per_kwh", "prices"),
-                cbd=_num(sec, "cbd_cts_per_kwh_per_kw", "prices"),
-                ca0=_num(sec, "ca0_cts_per_kw_h", "prices"),
-                cad=_num(sec, "cad_cts_per_kw_h_per_kw", "prices"),
-            )
-    raise ConfigError(f"prices.mode: unknown mode {mode!r}")
+    if not isinstance(mode, str) or mode not in _PRICE_KEYS:
+        raise ConfigError(f"prices.mode: unknown mode {mode!r}")
+    keys = _PRICE_KEYS[mode]
+    with _section("prices", sec, keys):
+        return MarketPrices(mode, **{arg: _num(sec, key, "prices") for arg, key in keys.items()})
+
+
+def _samples(raw) -> list:
+    """Inline deviation samples: a list of finite JSON numbers in [-1, 1]."""
+    if not isinstance(raw, list):
+        raise ConfigError("distribution.samples: expected a list")
+    for i, value in enumerate(raw):
+        # A bool is not a number here, and a large int fails the range test.
+        if type(value) not in (int, float) or not -1.0 <= value <= 1.0:
+            raise ConfigError(f"distribution.samples[{i}]: expected a finite number "
+                              f"in [-1, 1], got {value!r}")
+    return raw
 
 
 def _distribution(sec: dict, base_dir: Path) -> DeviationDistribution:
     kind = sec.get("kind")
-    if not isinstance(kind, str):
-        raise ConfigError("distribution.kind: missing or not a string")
-    samples = None
-    if kind == "empirical":
-        if "samples" in sec:
-            raw = sec["samples"]
-            if not isinstance(raw, list):
-                raise ConfigError("distribution.samples: expected a list")
-            samples = raw
-        elif "samples_path" in sec:
-            path = base_dir / str(sec["samples_path"])
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    samples = [float(line) for line in fh if line.strip()]
-            except OSError as exc:
-                raise ConfigError(f"distribution.samples_path: {exc}") from exc
-            except ValueError as exc:
-                raise ConfigError(
-                    f"distribution.samples_path: bad value in {path}: {exc}"
-                ) from exc
-        else:
-            raise ConfigError(
-                "distribution: empirical kind needs samples or samples_path"
-            )
-    if kind not in MAD_LAWS:
-        with _section("distribution"):
-            return build_distribution(kind, samples=samples)
-    with _section("distribution.mad"):
-        return build_distribution(kind, mad=_num(sec, "mad", "distribution"))
+    if kind not in [*MAD_LAWS, "empirical"]:
+        raise ConfigError(f"distribution.kind: unknown kind {kind!r}")
+    if kind in MAD_LAWS:
+        with _section("distribution.mad"):
+            return build_distribution(kind, mad=_num(sec, "mad", "distribution"))
+    if "samples" in sec:
+        field, samples = "distribution.samples", _samples(sec["samples"])
+    elif "samples_path" in sec:
+        field = "distribution.samples_path"
+        try:
+            with _rows(base_dir / str(sec["samples_path"])) as rows:
+                [samples] = _columns(rows, ["sample"], -1.0, 1.0)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{field}: {exc}") from exc
+    else:
+        raise ConfigError("distribution: empirical kind needs samples or samples_path")
+    with _section(field):
+        return build_distribution(kind, samples=samples)
 
 
 def _investment(sec: dict) -> InvestmentSpec:
-    with _section("investment"):
+    with _section("investment", sec):
         return InvestmentSpec(
             energy_capex=_num(sec, "energy_capex", "investment"),
             power_capex=_num(sec, "power_capex", "investment"),
@@ -192,7 +193,7 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ProblemConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )

@@ -44,10 +44,9 @@ class BatterySpec:
     eff: EfficiencyPair
 
     def __post_init__(self):
-        if self.cap_kwh <= 0.0:
-            raise ValueError("cap_kwh must be positive")
-        if self.charge_cap_kw <= 0.0 or self.discharge_cap_kw <= 0.0:
-            raise ValueError("power caps must be positive")
+        for name in ("cap_kwh", "charge_cap_kw", "discharge_cap_kw"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.soc0_kwh <= self.cap_kwh:
             raise ValueError("soc0_kwh must lie in [0, cap_kwh]")
         if not 0.0 <= self.soc_target_kwh <= self.cap_kwh:

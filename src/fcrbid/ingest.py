@@ -1,15 +1,19 @@
-"""Turn raw frequency and price series into model parameters.
+"""Turn raw frequency, price and volume series into model parameters.
 
-Readers are deliberately strict: malformed rows fail with their line
-number, and timestamps must be uniformly spaced.  No imputation.
+Every data file of the package is read here, by one row reader.  Readers
+are deliberately strict: a malformed row fails with the file's path and its
+line number, every number must be finite, and timestamps must be uniformly
+spaced.  No imputation.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import operator
+import sys
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from typing import TYPE_CHECKING
 
 from .distributions import DeviationDistribution, logistic
@@ -27,6 +31,7 @@ __all__ = [
     "fit_elasticity",
     "read_frequency_csv",
     "read_price_csv",
+    "read_elasticity_csv",
 ]
 
 
@@ -153,57 +158,98 @@ def fit_elasticity(prices, volumes) -> tuple[float, float]:
     return float(coeffs[0]), float(coeffs[1])
 
 
-def _parse_timestamp(token: str, lineno: int) -> datetime:
+_MAX = sys.float_info.max
+
+
+@contextmanager
+def _rows(path):
+    """The rows of the CSV file at ``path`` that hold more than whitespace, with their
+    line numbers; a ValueError raised in the ``with`` block gets the path as a prefix."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            yield ((reader.line_num, row) for row in reader
+                   if len(row) > 1 or row and row[0].strip())
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _header(rows, *names: str) -> list[str]:
+    """The stripped cells of the first row, which must begin with ``names``."""
+    header = [cell.strip() for cell in next(rows, (1, []))[1]]
+    if header[:len(names)] != list(names):
+        raise ValueError(f"expected header {','.join(names)!r}")
+    return header
+
+
+def _number(token: str, lineno: int, column: str, lo: float = -_MAX, hi: float = _MAX) -> float:
+    """The float in ``token``, which must lie in [``lo``, ``hi``]: finite by default."""
+    try:
+        if lo <= (value := float(token)) <= hi:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"line {lineno}: bad {column} value {token.strip()!r}")
+
+
+def _timestamp(token: str, lineno: int) -> datetime:
     try:
         return datetime.fromisoformat(token)
     except ValueError as exc:
         raise ValueError(f"line {lineno}: bad timestamp {token!r}") from exc
 
 
-def _parse_float(token: str, lineno: int, column: str) -> float:
-    try:
-        if math.isfinite(value := float(token)):
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"line {lineno}: bad {column} value {token!r}")
-
-
-def _uniform_dt_hours(stamps: list[datetime]) -> float:
-    if len(stamps) < 2:
-        return 1.0
-    gaps = [
-        (b - a).total_seconds() for a, b in zip(stamps, stamps[1:])
-    ]
-    first = gaps[0]
-    if first <= 0.0:
-        raise ValueError("timestamps must be strictly increasing")
-    for lineno, gap in enumerate(gaps[1:], start=4):
-        if abs(gap - first) > 1e-6:
+def _uniform_dt_hours(stamps: dict[int, datetime], name: str) -> float:
+    """The spacing, in hours, of a ``name`` file's timestamps, keyed by line number."""
+    if not stamps:
+        raise ValueError(f"{name} file has no data rows")
+    lines, times = list(stamps), list(stamps.values())
+    with suppress(TypeError):  # equal positive gaps, the common case, checked in C
+        gaps = list(map(operator.sub, times[1:], times))
+        if gaps and gaps[0] > timedelta(0) and gaps.count(gaps[0]) == len(gaps):
+            return gaps[0].total_seconds() / 3600.0
+    first = None
+    for lineno, a, b in zip(lines[1:], times, times[1:]):
+        try:
+            gap = (b - a).total_seconds()
+        except TypeError:
+            raise ValueError(f"line {lineno}: timestamps mix UTC offsets and naive ones") from None
+        if gap <= 0.0:
+            raise ValueError(f"line {lineno}: timestamps must be strictly increasing")
+        if abs(gap - (first := first or gap)) > 1e-6:
             raise ValueError(f"line {lineno}: non-uniform timestamp spacing")
-    return first / 3600.0
+    return first / 3600.0 if first else 1.0
 
 
-def read_frequency_csv(path, nu0: float = 50.0,
-                       delta_nu: float = 0.2) -> FrequencySeries:
-    """Read a `timestamp,hz` CSV with ISO-8601 timestamps."""
-    stamps: list[datetime] = []
+def _columns(rows, names: list[str], lo: float = -_MAX, hi: float = _MAX,
+             exact: bool = True) -> list[list[float]]:
+    """The numbers in [``lo``, ``hi``] that open each row, one per name; an
+    ``exact`` row holds no more."""
+    columns: list[list[float]] = [[] for _ in names]
+    for lineno, row in rows:
+        if len(row) < len(names) or exact and len(row) > len(names):
+            plural = "s" * (len(names) > 1)
+            raise ValueError(f"line {lineno}: expected {len(names)} column{plural}")
+        for column, token, name in zip(columns, row, names):
+            column.append(_number(token, lineno, name, lo, hi))
+    return columns
+
+
+def read_frequency_csv(path, nu0: float = 50.0, delta_nu: float = 0.2) -> FrequencySeries:
+    """Read a `timestamp,hz` CSV with ISO-8601 timestamps; later columns are ignored."""
+    stamps: dict[int, datetime] = {}
     values: list[float] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["timestamp", "hz"]:
-            raise ValueError("expected header 'timestamp,hz'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+    with _rows(path) as rows:
+        _header(rows, "timestamp", "hz")
+        for lineno, row in rows:
             if len(row) < 2:
                 raise ValueError(f"line {lineno}: expected 2 columns")
-            stamps.append(_parse_timestamp(row[0].strip(), lineno))
-            values.append(_parse_float(row[1].strip(), lineno, "hz"))
-    if not values:
-        raise ValueError("frequency file has no data rows")
-    return FrequencySeries(values, nu0, delta_nu, _uniform_dt_hours(stamps))
+            stamps[lineno] = _timestamp(row[0].strip(), lineno)
+            values.append(_number(row[1], lineno, "hz"))
+        dt_h = _uniform_dt_hours(stamps, "frequency")
+    return FrequencySeries(values, nu0, delta_nu, dt_h)
 
 
 _PRICE_COLUMNS = ["pb_cts_per_kwh", "pa_cts_per_kw_h", "pd_cts_per_kwh", "delta"]
@@ -212,30 +258,26 @@ _PRICE_COLUMNS = ["pb_cts_per_kwh", "pa_cts_per_kw_h", "pd_cts_per_kwh", "delta"
 def read_price_csv(path) -> PriceSeries:
     """Read a price CSV; availability, delivery and deviation columns are
     optional but must come in the documented order."""
-    stamps: list[datetime] = []
-    columns: list[list[float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip() != "timestamp":
-            raise ValueError("expected a 'timestamp' first column")
-        names = [h.strip() for h in header[1:]]
+    stamps: dict[int, datetime] = {}
+    with _rows(path) as rows:
+        names = _header(rows, "timestamp")[1:]
         if names != _PRICE_COLUMNS[: len(names)] or not names:
-            raise ValueError(
-                "price columns must be, in order: " + ",".join(_PRICE_COLUMNS)
-            )
-        columns = [[] for _ in names]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
+            raise ValueError("price columns must be, in order: " + ",".join(_PRICE_COLUMNS))
+        columns: list[list[float]] = [[] for _ in names]
+        for lineno, row in rows:
             if len(row) != len(names) + 1:
-                raise ValueError(
-                    f"line {lineno}: expected {len(names) + 1} columns"
-                )
-            stamps.append(_parse_timestamp(row[0].strip(), lineno))
+                raise ValueError(f"line {lineno}: expected {len(names) + 1} columns")
+            stamps[lineno] = _timestamp(row[0].strip(), lineno)
             for col, token, name in zip(columns, row[1:], names):
-                col.append(_parse_float(token.strip(), lineno, name))
-    if not columns or not columns[0]:
-        raise ValueError("price file has no data rows")
-    dt = _uniform_dt_hours(stamps)
-    return PriceSeries(*columns, *[None] * (4 - len(columns)), dt)
+                col.append(_number(token, lineno, name))
+        dt_h = _uniform_dt_hours(stamps, "price")
+    return PriceSeries(*columns, *[None] * (4 - len(columns)), dt_h)
+
+
+def read_elasticity_csv(path) -> tuple[list[float], list[float]]:
+    """Read a `volume_kw,price_cts` CSV into (prices, volumes), the argument
+    order of :func:`fit_elasticity`; later columns are ignored."""
+    with _rows(path) as rows:
+        _header(rows, "volume_kw", "price_cts")
+        volumes, prices = _columns(rows, ["volume_kw", "price_cts"], exact=False)
+    return prices, volumes

@@ -32,6 +32,7 @@ Powers are in kW, energies in kWh; deviations are normalised to [-1, 1].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -109,6 +110,9 @@ def expected_charge_rate(xb, xr, eff: EfficiencyPair, dist: DeviationDistributio
         raise ValueError("bid must be nonnegative")
     if xr == 0.0 or math.isinf(u := xb / xr):
         return eff.eta_plus * xb - eff.drain * max(-xb, 0.0)
+    if xr < sys.float_info.min:
+        # drain * xr would round a subnormal bid away; xr * scdf(-u) keeps its bits.
+        return eff.eta_plus * xb - eff.drain * (xr * dist.scdf(-u))
     return eff.eta_plus * xb - eff.drain * xr * dist.scdf(-u)
 
 

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 from .distributions import DeviationDistribution
 from .feasible import BatterySpec, RegulationContract
+from .ingest import _columns, _rows
 from .purchase import EfficiencyPair
 
 if TYPE_CHECKING:
@@ -382,32 +383,20 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+    """Read a file written by :func:`write_trajectory_csv`."""
+    with _rows(path) as rows:
+        header = next(rows, (1, [""]))[1][0].strip()
         if not header.startswith("#"):
             raise ValueError("missing trajectory header line")
-        fields = dict(
-            token.split("=", 1) for token in header.lstrip("# ").split()
-            if "=" in token
-        )
+        fields = dict(token.split("=", 1) for token in header.lstrip("# ").split() if "=" in token)
         try:
-            dt = float(fields["dt"])
-            horizon = float(fields["T"])
+            dt, horizon = float(fields["dt"]), float(fields["T"])
         except (KeyError, ValueError) as exc:
             raise ValueError("header must carry dt=<hours> T=<hours>") from exc
-        values = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: not a number: {line!r}") from exc
-    traj = Trajectory(values, dt)
-    if abs(traj.horizon_h - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError(
-            f"header horizon {horizon} h does not match "
-            f"{traj.n_steps} steps of {dt} h"
-        )
+        traj = Trajectory(_columns(rows, ["signal"], -1.0, 1.0)[0], dt)
+        if abs(traj.horizon_h - horizon) > 1e-9 * max(1.0, horizon):
+            raise ValueError(
+                f"header horizon {horizon} h does not match "
+                f"{traj.n_steps} steps of {dt} h"
+            )
     return traj

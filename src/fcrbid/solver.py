@@ -60,18 +60,18 @@ class MarketPrices:
     def __post_init__(self):
         if self.mode == "inelastic":
             if self.cb is None or self.cb <= 0.0:
-                raise ValueError("inelastic prices need cb > 0")
+                raise ValueError("cb must be positive for inelastic prices")
             if self.cr is None or self.cr <= 0.0:
-                raise ValueError("inelastic prices need cr > 0")
+                raise ValueError("cr must be positive for inelastic prices")
         elif self.mode == "elastic":
             for name in ("cb0", "ca0"):
                 v = getattr(self, name)
                 if v is None or v <= 0.0:
-                    raise ValueError(f"elastic prices need {name} > 0")
+                    raise ValueError(f"{name} must be positive for elastic prices")
             for name in ("cbd", "cad"):
                 v = getattr(self, name)
                 if v is None or v < 0.0:
-                    raise ValueError(f"elastic prices need {name} >= 0")
+                    raise ValueError(f"{name} must be nonnegative for elastic prices")
         else:
             raise ValueError(f"unknown price mode {self.mode!r}")
 

@@ -505,7 +505,7 @@ def test_fit_malformed_data_file(tmp_path, capsys):
                     encoding="utf-8")
     code, _, err = run(capsys, "fit", "--frequency", str(path))
     assert code == 2
-    assert err.startswith("error: line 2: bad hz")
+    assert err.startswith(f"error: {path}: line 2: bad hz value 'fifty'")
 
 
 @pytest.mark.parametrize("flag,rows,message", [
@@ -516,7 +516,7 @@ def test_fit_malformed_data_file(tmp_path, capsys):
     ("--frequency", ["timestamp,hz", "2024-01-01T00:00:00,inf", "2024-01-01T01:00:00,50.0"],
      "line 2: bad hz value 'inf'"),
     ("--elastic-energy", ["volume_kw,price_cts", "100,5.0", "400,nan", "900,4.8"],
-     "line 3: bad row"),
+     "line 3: bad price_cts value 'nan'"),
 ])
 def test_fit_non_finite_cell_exits_2(tmp_path, capsys, flag, rows, message):
     """A non-finite cell is a bad value on its line, not a NaN in the report."""
@@ -525,7 +525,18 @@ def test_fit_non_finite_cell_exits_2(tmp_path, capsys, flag, rows, message):
     code, out, err = run(capsys, "fit", flag, str(path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
+def test_fit_mixed_utc_offsets_exits_2(tmp_path, capsys):
+    """A frequency file mixing offset and naive timestamps exits 2 naming the
+    file and the line, not with a TypeError."""
+    path = tmp_path / "f.csv"
+    path.write_text("timestamp,hz\n2024-01-01T00:00:00,50.0\n"
+                    "2024-01-01T00:00:10+01:00,50.0\n", encoding="utf-8")
+    code, out, err = run(capsys, "fit", "--frequency", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: line 3: timestamps mix UTC offsets")
 
 
 # ---------------------------------------------------------------------------
@@ -896,3 +907,79 @@ def test_numpy_commands_run_in_a_fresh_interpreter(config, tmp_path, argv):
     proc = _child("-m", "fcrbid.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == argv[0]
+
+
+# ---------------------------------------------------------------------------
+# empirical samples, inline and from a file
+
+SAMPLES = [0.5, -0.25, 0.125, 0.75, -1.0, 0.0625]
+
+
+def _empirical_doc(**distribution):
+    doc = base_doc()
+    doc["distribution"] = {"kind": "empirical", **distribution}
+    return doc
+
+
+def test_samples_path_solves_as_the_inline_samples(config, tmp_path, capsys):
+    (tmp_path / "samples.txt").write_text(
+        "\n".join(map(repr, SAMPLES[:3])) + "\n\n  \n" + "\n".join(map(repr, SAMPLES[3:])),
+        encoding="utf-8")
+    reports = [run(capsys, "solve", "--config", config(_empirical_doc(**dist)))
+               for dist in ({"samples": SAMPLES}, {"samples_path": "samples.txt"})]
+    assert reports[0][0] == 0
+    assert reports[0] == reports[1]
+
+
+def test_samples_path_missing_file_exits_2(config, capsys):
+    code, out, err = run(capsys, "solve", "--config",
+                         config(_empirical_doc(samples_path="nowhere.txt")))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: distribution.samples_path: ") and "nowhere.txt" in err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("nan", "bad sample value 'nan'"),
+    ("inf", "bad sample value 'inf'"),
+    ("1.5", "bad sample value '1.5'"),
+    ("zero", "bad sample value 'zero'"),
+    ("0.2,0.3", "expected 1 column"),
+])
+def test_samples_path_bad_line_exits_2(config, tmp_path, capsys, line, message):
+    path = tmp_path / "samples.txt"
+    path.write_text(f"0.5\n\n{line}\n-0.25\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--config",
+                         config(_empirical_doc(samples_path="samples.txt")))
+    assert (code, out) == (2, "")
+    assert err == f"error: distribution.samples_path: {path}: line 3: {message}\n"
+
+
+@pytest.mark.parametrize("samples,index", [
+    ([True, 0.5, "0.25", -0.1], 0),
+    ([0.5, "0.25", -0.1], 1),
+    ([[0.5], [0.25]], 0),
+    ([0.5, {"a": 1}], 1),
+    ([0.5, -0.25, None], 2),
+    ([0.5, 1.5], 1),
+    ([0.5, 10**400], 1),
+])
+def test_inline_samples_must_be_finite_numbers(config, capsys, samples, index):
+    """Each inline sample is a finite JSON number in [-1, 1], as a scalar field
+    is a finite number: no bool, string, nested list or object."""
+    code, out, err = run(capsys, "solve", "--config", config(_empirical_doc(samples=samples)))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: distribution.samples[{index}]: expected a finite number")
+
+
+def test_non_finite_inline_sample_exits_2(config, capsys):
+    code, _, err = run(capsys, "solve", "--config",
+                       config(_empirical_doc(samples=[0.5, math.nan])))
+    assert code == 2
+    assert err.startswith("error: distribution.samples[1]: expected a finite number")
+
+
+def test_non_numeric_integer_flag_names_the_flag(config, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", config(), "--seed", "abc"])
+    assert exc.value.code == 2
+    assert "argument --seed: expected an integer, got 'abc'" in capsys.readouterr().err

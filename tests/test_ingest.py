@@ -1,6 +1,8 @@
 """Data ingestion: normalization, distribution/price fitting, CSV readers."""
 
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fcrbid import (
     fit_elasticity,
     fit_logistic,
     normalize_frequency,
+    read_elasticity_csv,
     read_frequency_csv,
     read_price_csv,
     reduce_prices,
@@ -374,3 +377,85 @@ def test_read_price_csv_no_rows(tmp_path):
     f = _write(tmp_path / "n.csv", "timestamp,pb_cts_per_kwh\n")
     with pytest.raises(ValueError, match="no data rows"):
         read_price_csv(f)
+
+
+# ---------------------------------------------------------------------------
+# one row reader: every error names the file and the line
+
+
+def test_reader_errors_name_the_file(tmp_path):
+    f = _write(tmp_path / "v.csv", "timestamp,hz\n2024-01-01T00:00:00,fifty\n")
+    with pytest.raises(ValueError) as exc:
+        read_frequency_csv(f)
+    assert str(exc.value) == f"{f}: line 2: bad hz value 'fifty'"
+
+
+@pytest.mark.parametrize("reader,header", [
+    (read_frequency_csv, "timestamp,hz"),
+    (read_price_csv, "timestamp,pb_cts_per_kwh"),
+])
+def test_mixed_utc_offsets_are_a_line_error(tmp_path, reader, header):
+    """A timestamp with a UTC offset after naive ones cannot be differenced;
+    that is a bad row, not a TypeError."""
+    f = _write(tmp_path / "mixed.csv", "\n".join([
+        header,
+        "2024-01-01T00:00:00,50.0",
+        "2024-01-01T00:00:10+00:00,50.0",
+    ]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: line 3: timestamps mix UTC"):
+        reader(f)
+
+
+def test_blank_lines_keep_the_file_line_numbers(tmp_path):
+    f = _write(tmp_path / "g.csv", "\n".join([
+        "timestamp,hz",
+        "2024-01-01T00:00:00,50.01",
+        "",
+        "2024-01-01T00:00:01,50.02",
+        "2024-01-01T00:00:03,49.99",
+    ]) + "\n")
+    with pytest.raises(ValueError, match="line 5: non-uniform"):
+        read_frequency_csv(f)
+
+
+def test_whitespace_only_lines_are_blank(tmp_path):
+    f = _write(tmp_path / "w.csv", "timestamp,hz\n  \n2024-01-01T00:00:00,50.0\n \t\n"
+               "2024-01-01T01:00:00,50.1\n")
+    fs = read_frequency_csv(f)
+    assert fs.nu.size == 2 and fs.dt_h == 1.0
+
+
+def test_a_later_non_increasing_timestamp_is_named(tmp_path):
+    f = _write(tmp_path / "d.csv", "\n".join([
+        "timestamp,hz",
+        "2024-01-01T00:00:00,50.0",
+        "2024-01-01T01:00:00,50.0",
+        "2024-01-01T01:00:00,50.0",
+    ]) + "\n")
+    with pytest.raises(ValueError, match="line 4: timestamps must be strictly increasing"):
+        read_frequency_csv(f)
+
+
+def test_csv_syntax_error_names_the_line(tmp_path):
+    f = _write(tmp_path / "big.csv", "timestamp,hz\n2024-01-01T00:00:00,"
+               + "5" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: line 2: field larger"):
+        read_frequency_csv(f)
+
+
+def test_read_elasticity_csv(tmp_path):
+    f = _write(tmp_path / "e.csv", "volume_kw,price_cts,note\n100,5.0,a\n\n400, 4.9\n")
+    assert read_elasticity_csv(f) == ([5.0, 4.9], [100.0, 400.0])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("volume,price\n1,2\n", "expected header 'volume_kw,price_cts'"),
+    ("volume_kw,price_cts\n100,5.0\n400\n", "line 3: expected 2 columns"),
+    ("volume_kw,price_cts\n100,5.0\n400,nan\n", "line 3: bad price_cts value 'nan'"),
+    ("volume_kw,price_cts\n1e400,5.0\n", "line 2: bad volume_kw value '1e400'"),
+])
+def test_read_elasticity_csv_errors(tmp_path, text, message):
+    f = _write(tmp_path / "e.csv", text)
+    with pytest.raises(ValueError) as exc:
+        read_elasticity_csv(f)
+    assert str(exc.value) == f"{f}: {message}"

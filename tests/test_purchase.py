@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +70,29 @@ def test_expected_rate_balanced_drain():
     d = logistic(0.0816)
     got = expected_charge_rate(0.0, 1.0, eff, d)
     assert math.isclose(got, -eff.drain * 0.0408, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("law", [logistic(0.3), two_point_lower(0.3), three_point_upper(0.3),
+                                 empirical([0.5, -0.25, 0.125])], ids=lambda d: d.kind)
+def test_expected_rate_at_a_subnormal_bid(law):
+    """xb / xr lies beyond the support, so the rate is the zero-bid limit
+    eta_plus * xb - drain * |xb|, and drain * xr must not round the bid away."""
+    eff = EfficiencyPair(0.9, 0.8)
+    exact = Fraction(eff.eta_plus) * Fraction(-1e-300) - Fraction(eff.drain) * Fraction(1e-300)
+    got = expected_charge_rate(-1e-300, 5e-324, eff, law)
+    assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+
+
+def test_expected_rate_at_normal_bids_keeps_its_rounding():
+    """Only a subnormal bid scales by the law value first; every other bid
+    keeps the product drain * xr * scdf(-xb / xr) as written."""
+    eff = EfficiencyPair(0.9, 0.8)
+    law = three_point_upper(0.3)
+    rng = np.random.default_rng(11)
+    for xr in [2.2250738585072014e-308, 1e-300, *rng.uniform(0.0, 50.0, 200)]:
+        xb = float(rng.uniform(-2.0, 2.0)) * xr
+        want = eff.eta_plus * xb - eff.drain * xr * law.scdf(-(xb / xr))
+        assert expected_charge_rate(xb, xr, eff, law) == want
 
 
 def test_expected_rate_reference_values():
