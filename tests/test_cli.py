@@ -515,8 +515,9 @@ def test_fit_malformed_data_file(tmp_path, capsys):
                   "2024-01-01T01:00:00,-inf"], "line 3: bad pb_cts_per_kwh value '-inf'"),
     ("--frequency", ["timestamp,hz", "2024-01-01T00:00:00,inf", "2024-01-01T01:00:00,50.0"],
      "line 2: bad hz value 'inf'"),
-    ("--elastic-energy", ["volume_kw,price_cts", "100,5.0", "400,nan", "900,4.8"],
-     "line 3: bad price_cts value 'nan'"),
+    pytest.param("--elastic-energy", ["volume_kw,price_cts", "100,5.0", "400,nan", "900,4.8"],
+                 "line 3: bad price_cts value 'nan'",
+                 id="--elastic-energy-rows3-line 3: bad row"),
 ])
 def test_fit_non_finite_cell_exits_2(tmp_path, capsys, flag, rows, message):
     """A non-finite cell is a bad value on its line, not a NaN in the report."""
