@@ -28,7 +28,7 @@ from .econ import (
     required_charger_rate,
     unit_profit,
 )
-from .errors import ConfigError, InfeasibleProblemError
+from .errors import ConfigError, InfeasibleProblemError, TargetMismatchError
 from .feasible import RegulationContract, analytic_bid, context_for, envelopes, max_feasible_bid
 from .ingest import (
     fit_elasticity,
@@ -40,7 +40,6 @@ from .ingest import (
     reduce_prices,
 )
 from .purchase import (
-    XR_ASYMPTOTE,
     EfficiencyPair,
     asymptotic_slope,
     expected_charge_rate,
@@ -60,6 +59,10 @@ from .solver import solve
 from .solver import solve_elastic, solve_inelastic  # noqa: F401  traced by perfbench/layers.py
 
 __all__ = ["main"]
+
+# The largest power in kW that `simulate --xr/--xb` takes, so that the SoC
+# integration cannot overflow.
+_MAX_POWER_KW = 1e12
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -153,7 +156,10 @@ def _cmd_solve(args) -> int:
 def _cmd_analytic(args) -> int:
     cfg = load_config(args.config)
     ctx = context_for(cfg.battery, cfg.contract, cfg.distribution)
-    bid = analytic_bid(cfg.battery, cfg.contract, ctx.slope)
+    try:
+        bid = analytic_bid(cfg.battery, cfg.contract, ctx.slope)
+    except TargetMismatchError as exc:
+        raise ConfigError(f"battery.soc_target_kwh: {exc}") from exc
     sizing = energy_constrained_optimum(cfg.battery, cfg.contract, ctx.slope)
     _emit_json(
         {
@@ -417,10 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="volume_kw,price_cts CSV for the regulation market")
 
     p = add("simulate", _cmd_simulate, "sample one trajectory and integrate the SoC")
-    # Capped so that the SoC integration cannot overflow.
-    p.add_argument("--xr", type=_bounded(float, 0.0, XR_ASYMPTOTE), default=None,
+    p.add_argument("--xr", type=_bounded(float, 0.0, _MAX_POWER_KW), default=None,
                    help="bid in kW (default: max feasible)")
-    p.add_argument("--xb", type=_bounded(float, -XR_ASYMPTOTE, XR_ASYMPTOTE), default=None,
+    p.add_argument("--xb", type=_bounded(float, -_MAX_POWER_KW, _MAX_POWER_KW), default=None,
                    help="purchase in kW (default: implied by the bid)")
     p.add_argument("--n-steps", type=_bounded(int, 1, MAX_POINTS), default=None)
     p.add_argument("--seed", type=_bounded(int, 0), default=None)

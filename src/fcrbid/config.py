@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .distributions import MAD_LAWS, DeviationDistribution, build_distribution
+from .distributions import MAD_LAWS, DeviationDistribution, empirical
 from .econ import InvestmentSpec
 from .errors import ConfigError
 from .feasible import BatterySpec, RegulationContract
@@ -107,6 +107,10 @@ def _battery(sec: dict) -> BatterySpec:
         eff = EfficiencyPair(
             _num(sec, "eta_plus", "battery"), _num(sec, "eta_minus", "battery")
         )
+        if eff.roundtrip <= 1.0 / 3.0:  # the test of max_feasible_bid
+            low, high = sorted(["eta_plus", "eta_minus"], key=lambda key: getattr(eff, key))
+            raise ConfigError(f"battery.{low}: roundtrip efficiency {low} * {high} = "
+                              f"{eff.roundtrip:.3f} must be above 1/3")
         return BatterySpec(
             cap_kwh=_num(sec, "cap_kwh", "battery"),
             charge_cap_kw=_num(sec, "charge_cap_kw", "battery"),
@@ -160,7 +164,7 @@ def _distribution(sec: dict, base_dir: Path) -> DeviationDistribution:
         raise ConfigError(f"distribution.kind: unknown kind {kind!r}")
     if kind in MAD_LAWS:
         with _section("distribution.mad"):
-            return build_distribution(kind, mad=_num(sec, "mad", "distribution"))
+            return MAD_LAWS[kind](_num(sec, "mad", "distribution"))
     if "samples" in sec:
         field, samples = "distribution.samples", _samples(sec["samples"])
     elif "samples_path" in sec:
@@ -173,7 +177,7 @@ def _distribution(sec: dict, base_dir: Path) -> DeviationDistribution:
     else:
         raise ConfigError("distribution: empirical kind needs samples or samples_path")
     with _section(field):
-        return build_distribution(kind, samples=samples)
+        return empirical(samples)
 
 
 def _investment(sec: dict) -> InvestmentSpec:
@@ -203,6 +207,8 @@ def parse_config(doc: dict, base_dir: Path | None = None) -> ProblemConfig:
     charger = solver_sec.get("charger_kw_per_kwh")
     if charger is not None:
         charger = _num(solver_sec, "charger_kw_per_kwh", "solver")
+        if not charger > 0.0:
+            raise ConfigError(f"solver.charger_kw_per_kwh: must be positive, got {charger}")
     return ProblemConfig(
         battery=_battery(_object(doc, "battery")),
         contract=_contract(_object(doc, "contract")),

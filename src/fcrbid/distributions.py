@@ -13,10 +13,11 @@ families satisfy mad = 2 * scdf(0).
 Supported families
 ------------------
 logistic
-    F(z) = 1 / (1 + exp(-theta z)) with theta = 2 ln 2 / mad.  The support
-    is unbounded, so scdf(-1) is not exactly zero; the truncation error
-    exp(-theta)/theta is negligible for realistic mad (about 2.5e-9 at
-    mad = 0.0816).  Samples are clipped to [-1, 1].
+    F(z) = 1 / (1 + exp(-theta z)) with theta = 2 ln 2 / mad.  The closed
+    forms integrate this untruncated law, but ``sample_with`` clips its
+    draws to [-1, 1], so the two describe different laws (defect 4a): the
+    truncation error exp(-theta)/theta is 2.5e-9 at mad 0.0816, 2.1e-3 at
+    mad 0.3 and 0.023 at mad 0.5.
 two_point_lower
     Mass 1/2 at -mad and +mad.  Among symmetric distributions on [-1, 1]
     with the given mad this minimises the scdf pointwise.
@@ -48,7 +49,6 @@ __all__ = [
     "two_point_lower",
     "three_point_upper",
     "empirical",
-    "build_distribution",
 ]
 
 _LN2 = math.log(2.0)
@@ -59,9 +59,9 @@ class DeviationDistribution:
     """A symmetric deviation distribution on [-1, 1].
 
     Build instances through the module factories (:func:`logistic`,
-    :func:`two_point_lower`, :func:`three_point_upper`, :func:`empirical`,
-    or :func:`build_distribution`).  ``theta`` is set for the logistic
-    family only; the discrete families carry their support and masses.
+    :func:`two_point_lower`, :func:`three_point_upper`, :func:`empirical`).
+    ``theta`` is set for the logistic family only; the discrete families
+    carry their support and masses.
     """
 
     kind: str
@@ -213,14 +213,3 @@ def empirical(samples) -> DeviationDistribution:
 # The laws set by their mean absolute deviation alone, by kind.
 MAD_LAWS = {"logistic": logistic, "two_point_lower": two_point_lower,
             "three_point_upper": three_point_upper}
-
-
-def build_distribution(kind: str, mad: float | None = None, samples=None) -> DeviationDistribution:
-    """Factory used by configuration loading."""
-    if kind in MAD_LAWS:
-        return MAD_LAWS[kind](mad)
-    if kind == "empirical":
-        if samples is None:
-            raise ValueError("empirical distribution requires samples")
-        return empirical(samples)
-    raise ValueError(f"unknown distribution kind {kind!r}")

@@ -55,10 +55,6 @@ __all__ = [
     "purchase_bounds",
 ]
 
-# Beyond this bid the purchase is reported via its asymptote slope * bid;
-# the dropped offset is below 1e-12 relative at the threshold.
-XR_ASYMPTOTE = 1e12
-
 
 @dataclass(frozen=True)
 class EfficiencyPair:
@@ -204,7 +200,7 @@ def purchase_power(xr: float, ctx: PurchaseContext) -> float:
         raise ValueError("bid must be nonnegative")
     if xr == 0.0:
         return ctx.base_purchase
-    if ctx.drift_target == 0.0 or xr > XR_ASYMPTOTE:
+    if ctx.drift_target == 0.0:
         return ctx.slope * xr
     u = _inverse_unit_rate(ctx.drift_target / xr, ctx.eff, ctx.dist)[0]
     return ctx.base_purchase if math.isinf(u) else xr * u
@@ -246,17 +242,7 @@ def _purchase_point(xr: float, ctx: PurchaseContext) -> tuple[float, float, floa
     eta_p, drain = ctx.eff.eta_plus, ctx.eff.drain
     s1 = drain * (phi + u * f_left) / (eta_p + drain * f_left)
     s2 = drain * (phi + u * f_right) / (eta_p + drain * f_right)
-    return ctx.slope * xr if xr > XR_ASYMPTOTE else xr * u, min(s1, s2), max(s1, s2)
-
-
-def _unit_bid(u: float, ctx: PurchaseContext) -> tuple[float, float, float, float]:
-    """Bid, purchase, scdf(-u) and cdf(-u) at purchase per unit of bid ``u``
-    (unbalanced target), from one evaluation of the law."""
-    phi, _, f = ctx.dist.scdf_cdf(-u)
-    rate = ctx.eff.eta_plus * u - ctx.eff.drain * phi
-    # g vanishes only at the balanced root, where no bid is defined.
-    xr = ctx.drift_target / rate if rate != 0.0 else float("inf")
-    return xr, xr * u, phi, f
+    return xr * u, min(s1, s2), max(s1, s2)
 
 
 def purchase_bounds(xr: float, ctx: PurchaseContext) -> tuple[float, float]:

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 from .distributions import DeviationDistribution
 from .feasible import BatterySpec, RegulationContract
-from .ingest import _columns, _rows
 from .purchase import EfficiencyPair
 
 if TYPE_CHECKING:
@@ -36,7 +35,6 @@ __all__ = [
     "ConstraintCheck",
     "FeasibilityReport",
     "check_robust_feasibility",
-    "read_trajectory_csv",
     "write_trajectory_csv",
 ]
 
@@ -380,23 +378,3 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         fh.write(f"# dt={traj.dt_h!r} T={traj.horizon_h!r}\n")
         for v in traj.values:
             fh.write(f"{float(v)!r}\n")
-
-
-def read_trajectory_csv(path) -> Trajectory:
-    """Read a file written by :func:`write_trajectory_csv`."""
-    with _rows(path) as rows:
-        header = next(rows, (1, [""]))[1][0].strip()
-        if not header.startswith("#"):
-            raise ValueError("missing trajectory header line")
-        fields = dict(token.split("=", 1) for token in header.lstrip("# ").split() if "=" in token)
-        try:
-            dt, horizon = float(fields["dt"]), float(fields["T"])
-        except (KeyError, ValueError) as exc:
-            raise ValueError("header must carry dt=<hours> T=<hours>") from exc
-        traj = Trajectory(_columns(rows, ["signal"], -1.0, 1.0)[0], dt)
-        if abs(traj.horizon_h - horizon) > 1e-9 * max(1.0, horizon):
-            raise ValueError(
-                f"header horizon {horizon} h does not match "
-                f"{traj.n_steps} steps of {dt} h"
-            )
-    return traj

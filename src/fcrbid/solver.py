@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from .distributions import DeviationDistribution
 from .errors import AssumptionError
 from .feasible import BatterySpec, RegulationContract, context_for, max_feasible_bid
-from .purchase import PurchaseContext, _purchase_point, _unit_bid, purchase_power, purchase_slopes
+from .purchase import PurchaseContext, _purchase_point, purchase_power, purchase_slopes
 from .rootfind import BISECT_MAX_ITER, last_true
 
 __all__ = [
@@ -160,7 +160,10 @@ def _newton_bracket(ctx: PurchaseContext, coefficients, xr_max: float,
     eta_p, drain, d, theta = ctx.eff.eta_plus, ctx.eff.drain, ctx.drift_target, ctx.dist.theta
 
     def h(u):  # h, h' and the bid; g = d / x and g' = eta_plus + drain F(-u)
-        x, xb, phi, f = _unit_bid(u, ctx)
+        phi, _, f = ctx.dist.scdf_cdf(-u)
+        rate = eta_p * u - drain * phi  # g vanishes only at the balanced root: no bid there
+        x = d / rate if rate != 0.0 else math.inf
+        xb = x * u
         dg, ratio, level = eta_p + drain * f, _ratio(coefficients, x, xb), cb0 + 2.0 * cbd * xb
         dx = -x * x * dg / d
         d_ratio = -2.0 * (cad * dx + ratio * cbd * (x + u * dx)) / level if level > 0.0 else 0.0

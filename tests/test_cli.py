@@ -30,7 +30,6 @@ from fcrbid import (
     max_feasible_bid,
     operating_profit,
     purchase_power,
-    read_trajectory_csv,
     required_charger_rate,
     unit_profit,
 )
@@ -581,14 +580,15 @@ def test_simulate_trajectory_roundtrip(config, tmp_path, capsys):
                        "--trajectory-out", str(traj_path))
     assert code == 0
     report = json.loads(out)
-    traj = read_trajectory_csv(traj_path)
-    assert traj.values.size == 48
-    assert math.isclose(report["budget_h"], traj.budget_h, rel_tol=1e-12)
+    assert traj_path.read_text(encoding="utf-8").startswith("# dt=0.25 T=12.0\n")
+    values = np.loadtxt(traj_path)
+    assert values.size == 48
+    assert math.isclose(report["budget_h"], float(np.abs(values).sum()) * 0.25, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("flag", ["--xb=1e308", "--xb=-1e308", "--xr=1e308"])
 def test_simulate_power_above_the_cap_exits_2(config, capsys, flag):
-    """A power above XR_ASYMPTOTE in size would overflow the SoC integration;
+    """A power above 1e12 kW in size would overflow the SoC integration;
     the parser rejects it, naming the flag, before anything is computed."""
     with warnings.catch_warnings(record=True) as caught, pytest.raises(SystemExit) as exc:
         warnings.simplefilter("always")
@@ -744,6 +744,38 @@ def test_solver_count_below_its_floor_exits_2(config, capsys, command, key, valu
     assert code == 2
     assert out == ""
     assert err == f"error: solver.{key}: must be at least {floor}, got {value}\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "analytic", "profit", "simulate"])
+@pytest.mark.parametrize("eta_plus,eta_minus,low,high", [(0.5, 0.5, "eta_plus", "eta_minus"),
+                                                         (0.9, 0.3, "eta_minus", "eta_plus")])
+def test_low_roundtrip_efficiency_exits_2(config, capsys, command, eta_plus, eta_minus,
+                                          low, high):
+    """Each efficiency lies in (0, 1], but their product is at most 1/3: the
+    parse rejects it, naming the smaller efficiency first, for every command."""
+    doc = base_doc()
+    doc["battery"].update(eta_plus=eta_plus, eta_minus=eta_minus)
+    code, out, err = run(capsys, command, "--config", config(doc))
+    assert (code, out) == (2, "")
+    assert err == (f"error: battery.{low}: roundtrip efficiency {low} * {high} = "
+                   f"{eta_plus * eta_minus:.3f} must be above 1/3\n")
+
+
+@pytest.mark.parametrize("charger", [-5.0, 0.0])
+def test_non_positive_charger_rate_exits_2(config, capsys, charger):
+    doc = base_doc()
+    doc["solver"] = {"charger_kw_per_kwh": charger}
+    code, out, err = run(capsys, "profit", "--config", config(doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: solver.charger_kw_per_kwh: must be positive, got {charger}\n"
+
+
+def test_analytic_on_an_unbalanced_target_exits_2(config, capsys):
+    doc = base_doc()
+    doc["battery"]["soc_target_kwh"] = 26.0
+    code, out, err = run(capsys, "analytic", "--config", config(doc))
+    assert (code, out) == (2, "")
+    assert err == "error: battery.soc_target_kwh: closed form needs soc_target_kwh == soc0_kwh\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "simulate", "verify"])

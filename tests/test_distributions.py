@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fcrbid import (
     DegenerateSignalError,
-    build_distribution,
     empirical,
     logistic,
     three_point_upper,
@@ -492,18 +491,6 @@ def test_logistic_upper_envelope_holds_away_from_the_edge():
         assert d.scdf(z) <= hi.scdf(z) + 1e-12
     assert d.scdf(1.0) > hi.scdf(1.0)
     assert d.scdf(-1.0) > hi.scdf(-1.0)
-
-
-def test_build_distribution_dispatch():
-    assert build_distribution("logistic", mad=0.2).theta == logistic(0.2).theta
-    assert build_distribution("two_point_lower", mad=0.2).kind == "two_point_lower"
-    assert build_distribution("three_point_upper", mad=0.2).kind == "three_point_upper"
-    d = build_distribution("empirical", samples=[0.1, -0.4])
-    assert d.mad == 0.25
-    with pytest.raises(ValueError):
-        build_distribution("gaussian", mad=0.2)
-    with pytest.raises(ValueError):
-        build_distribution("empirical")
 
 
 def test_mad_domain_is_checked():

@@ -297,8 +297,12 @@ OUT_OF_RANGE = {
     "battery.discharge_cap_kw": st.floats(max_value=0.0),
     "battery.soc0_kwh": _outside(0.0, 60.0),
     "battery.soc_target_kwh": _outside(0.0, 60.0),
-    "battery.eta_plus": st.one_of(st.floats(max_value=0.0), _outside(None, 1.0)),
-    "battery.eta_minus": st.one_of(st.floats(max_value=0.0), _outside(None, 1.0)),
+    # An efficiency in (0, 0.35] takes the roundtrip with the other (0.8 or
+    # 0.9) to at most 1/3, which no config may have.
+    "battery.eta_plus": st.one_of(st.floats(max_value=0.0), _outside(None, 1.0),
+                                  st.floats(0.0, 0.35, exclude_min=True)),
+    "battery.eta_minus": st.one_of(st.floats(max_value=0.0), _outside(None, 1.0),
+                                   st.floats(0.0, 0.35, exclude_min=True)),
     "contract.horizon_h": st.floats(max_value=0.0),
     "contract.budget_h": st.one_of(st.floats(max_value=0.0), _outside(None, 12.0)),
     "prices.cb_cts_per_kwh": st.floats(max_value=0.0),
@@ -311,6 +315,7 @@ OUT_OF_RANGE = {
     "solver.seed": st.integers(max_value=-1),
     "solver.n_steps": st.one_of(st.integers(max_value=0), st.integers(min_value=10**6 + 1)),
     "solver.n_paths": st.integers(max_value=99),
+    "solver.charger_kw_per_kwh": st.floats(max_value=0.0),
     "investment.energy_capex": _outside(0.0, None),
     "investment.power_capex": _outside(0.0, None),
     "investment.energy_lifetime_yr": st.floats(max_value=0.0),

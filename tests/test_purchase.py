@@ -299,18 +299,20 @@ def test_purchase_nondecreasing_and_convex():
         assert np.all(np.diff(diffs) >= -1e-10)
 
 
-def test_purchase_beyond_the_asymptote_switch():
-    ctx = ctx_for(0.9, 0.8, logistic(0.3), 0.25)
-    assert purchase_power(2e12, ctx) == ctx.slope * 2e12
-    # just below the switch the inversion already sits on the asymptote
-    near = purchase_power(9e11, ctx)
-    assert math.isclose(near, ctx.slope * 9e11, rel_tol=1e-9)
+def test_purchase_scale_covariance_across_1e12():
+    """Doubling the bid and the drift target doubles the purchase bit for bit
+    at any size: no large-bid switch to the asymptote breaks the covariance."""
+    for law in (logistic(0.3), two_point_lower(0.3), three_point_upper(0.3),
+                empirical([0.1, -0.4, 0.25, 0.7])):
+        for drift in (0.25, -0.25):
+            ctx1, ctx2 = ctx_for(0.9, 0.8, law, drift), ctx_for(0.9, 0.8, law, 2.0 * drift)
+            assert purchase_power(1.2e12, ctx2) == 2.0 * purchase_power(6e11, ctx1), law.kind
 
 
 def test_purchase_many_matches_scalar():
     """Bit for bit, over the four laws, both target signs, zero bid and a bid
-    beyond the asymptote switch, in the shape of the input; the one-inverse
-    point evaluation gives the same purchase, balanced targets included."""
+    of 2e12 kW, in the shape of the input; the one-inverse point evaluation
+    gives the same purchase, balanced targets included."""
     grid = np.array([[0.0, 0.3, 1.0, 4.0], [7.7, 25.0, 1e6, 2e12]])
     for law in (logistic(0.3),) + FOUR_LAWS:
         for target in (0.25, -0.25, 0.0):
